@@ -68,9 +68,11 @@ const POLL: Duration = Duration::from_millis(1);
 /// be a fifth of the median latency it is measuring.
 const GENERATOR_SPIN: Duration = Duration::from_micros(250);
 const UPDATE_BATCH: usize = 16;
-/// Batches published before the capacity phase, so reads meet a populated
-/// overlay from the start (about half the compaction threshold).
-const PREFILL_BATCHES: u64 = 24;
+/// Batches published before the capacity phase.  Slowdowns accumulate
+/// (about 90% of the grid's edges are slowed after this many), so without
+/// them query cost would climb through the run as the A* heuristic weakens;
+/// with them the measured phases see a graph in its steady state.
+const PREFILL_BATCHES: u64 = 2000;
 
 struct Sizing {
     grid: u32,

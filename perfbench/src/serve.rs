@@ -7,7 +7,7 @@
 //! scheduler does little.  `live` serves the same query stream from a
 //! `LiveGraph` of the grid while one writer thread publishes 16-edge
 //! slowdown batches, so publishes, overlay reads and compaction run beside
-//! the reads; every answer is checked on the snapshot it was served from.
+//! the reads; every answer is checked on the version it was served from.
 //!
 //! Each run has two phases.  A closed loop of two clients gives the
 //! capacity.  Then one load thread sends queries open-loop (Poisson
@@ -15,7 +15,7 @@
 //! collects results with `try_wait`; in `live` the writer is the second
 //! load thread and runs during this phase.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,8 +40,6 @@ use crate::watchdog::Watchdog;
 const GANGS: usize = 2;
 const GANG_SIZE: usize = 1;
 const QUEUE_CAPACITY: usize = 256;
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 51;
 /// A query slower than this (from when it was due) counts as failed.
 const SLO: Duration = Duration::from_millis(250);
 /// Closed-loop clients of the capacity phase, and the queries each keeps
@@ -68,11 +66,23 @@ const POLL: Duration = Duration::from_millis(1);
 /// be a fifth of the median latency it is measuring.
 const GENERATOR_SPIN: Duration = Duration::from_micros(250);
 const UPDATE_BATCH: usize = 16;
-/// Batches published before the capacity phase.  Slowdowns accumulate
-/// (about 90% of the grid's edges are slowed after this many), so without
-/// them query cost would climb through the run as the A* heuristic weakens;
-/// with them the measured phases see a graph in its steady state.
+/// Batches a `live` set-up publishes before the graph is served.
+/// Slowdowns accumulate (about 90% of the grid's edges are slowed after
+/// this many), so without them query cost would climb through the run as
+/// the A* heuristic weakens; with them the measured phases see a graph in
+/// its steady state.
 const PREFILL_BATCHES: u64 = 2000;
+/// Open-loop offered rates, each a third of the capacity its workload
+/// measured (`capacity_per_s` on a 2-vCPU x86-64 VM read 7,000 to 11,000
+/// q/s on `route` and 3,300 to 5,000 q/s on `live`, where the slowed edges
+/// weaken the A* heuristic; the rates are a third of the lower figures).
+/// At a third of capacity one query in six finds both gangs busy (Erlang C
+/// for 2 servers at 2/3 Erlang), more than the one in ten beyond the gated
+/// p90, so queue wait shows in it; at half load the `route` p50 and p90
+/// spread 0.16 and 0.22 across runs, against 0.07 at a third.  They are
+/// constants so every commit is offered the same traffic.
+const ROUTE_OFFERED_QPS: f64 = 2400.0;
+const LIVE_OFFERED_QPS: f64 = 1100.0;
 
 struct Sizing {
     grid: u32,
@@ -86,12 +96,15 @@ struct Sizing {
     min_window: usize,
 }
 
-fn sizing(size: Size) -> Sizing {
+fn sizing(size: Size, workload: Workload) -> Sizing {
     match size {
         Size::Full => Sizing {
             grid: 60,
             pairs: 2048,
-            offered_qps: 1200.0,
+            offered_qps: match workload {
+                Workload::Live => LIVE_OFFERED_QPS,
+                _ => ROUTE_OFFERED_QPS,
+            },
             publishes_per_s: 100.0,
             min_queries: 1000,
             min_window: 1000,
@@ -109,19 +122,25 @@ fn sizing(size: Size) -> Sizing {
 
 /// A graph source the service can answer queries from.
 trait Served: GraphSource + Send + Sync + 'static {
-    fn serve(base: Arc<CsrGraph>) -> Arc<Self>;
-    /// The snapshot to check the answer on later, for a graph that changes
-    /// under the query; `None` when the precomputed reference applies.
-    fn keep(view: Self::View<'_>) -> Option<GraphSnapshot>;
+    /// Set-ups per run; `setup_s` is their median.
+    const SETUPS: usize;
+    /// The graph to serve over `base`, in the state it is served in.
+    fn serve(base: Arc<CsrGraph>, seed: u64) -> Arc<Self>;
+    /// The version a query was served from and its overlay size, for a
+    /// graph that changes under the query; `None` when the precomputed
+    /// reference applies.
+    fn served_version(view: &Self::View<'_>) -> Option<(u64, usize)>;
     fn live(&self) -> Option<&LiveGraph>;
 }
 
 impl Served for CsrGraph {
-    fn serve(base: Arc<CsrGraph>) -> Arc<Self> {
+    const SETUPS: usize = 51;
+
+    fn serve(base: Arc<CsrGraph>, _seed: u64) -> Arc<Self> {
         base
     }
 
-    fn keep(_view: &CsrGraph) -> Option<GraphSnapshot> {
+    fn served_version(_view: &&CsrGraph) -> Option<(u64, usize)> {
         None
     }
 
@@ -131,12 +150,18 @@ impl Served for CsrGraph {
 }
 
 impl Served for LiveGraph {
-    fn serve(base: Arc<CsrGraph>) -> Arc<Self> {
-        Arc::new(LiveGraph::new(base))
+    /// A set-up includes the prefill (about 0.35 s), so fewer are needed to
+    /// sample the host over a few seconds.
+    const SETUPS: usize = 5;
+
+    fn serve(base: Arc<CsrGraph>, seed: u64) -> Arc<Self> {
+        let live = LiveGraph::new(Arc::clone(&base));
+        publish_up_to(&live, &base, seed, PREFILL_BATCHES + 1);
+        Arc::new(live)
     }
 
-    fn keep(view: GraphSnapshot) -> Option<GraphSnapshot> {
-        Some(view)
+    fn served_version(view: &GraphSnapshot) -> Option<(u64, usize)> {
+        Some((view.version(), view.overlay_edges()))
     }
 
     fn live(&self) -> Option<&LiveGraph> {
@@ -176,6 +201,7 @@ struct Setup<G: Served> {
     plain: Stack<G>,
     /// Telemetry-enabled twin of `plain`, traced runs only.
     traced: Option<Stack<G>>,
+    /// Grid build, plus the prefill on `live`.
     graph_s: f64,
     total_s: f64,
 }
@@ -188,8 +214,8 @@ fn set_up<G: Served>(grid: u32, seed: u64, trace: bool) -> Setup<G> {
         removal_percent: 10,
         seed,
     }));
+    let graph = G::serve(Arc::clone(&base), seed);
     let graph_s = start.elapsed().as_secs_f64();
-    let graph = G::serve(Arc::clone(&base));
     let plain = stack(&graph, seed, TelemetryConfig::disabled());
     let traced = trace.then(|| stack(&graph, seed, TelemetryConfig::enabled()));
     Setup {
@@ -202,11 +228,19 @@ fn set_up<G: Served>(grid: u32, seed: u64, trace: bool) -> Setup<G> {
     }
 }
 
-/// What a query job hands back: the answer, the snapshot to check it on,
-/// and when the job closure started and finished on its dispatcher.
+/// What a query job hands back: the answer, the live version it was served
+/// from (with that version's overlay size), and when the job closure
+/// started and finished on its dispatcher.  The pinned view is released
+/// inside the job, so the benchmark holds no graph version.
+///
+/// `finished` is the last instant the benchmark can see on the serving
+/// side.  The service's hand-off after the closure returns (storing the
+/// result in the ticket and notifying it) is not part of the measured
+/// latency: the load thread polls with `try_wait` between arrivals, so the
+/// instant it sees the result would add its polling gap instead.
 struct Reply {
     answer: RouteAnswer,
-    snapshot: Option<GraphSnapshot>,
+    version: Option<(u64, usize)>,
     started: Instant,
     finished: Instant,
 }
@@ -219,17 +253,27 @@ fn query_job<G: Served>(
     move |pool| {
         let started = Instant::now();
         let (answer, view) = engine.query_pinned(source, target, pool);
-        let snapshot = G::keep(view);
+        let version = G::served_version(&view);
+        drop(view);
         Reply {
             answer,
-            snapshot,
+            version,
             started,
             finished: Instant::now(),
         }
     }
 }
 
-/// An answer whose reference needs its snapshot: checked after the run.
+/// Publishes the seeded slowdown batches that take `live` to `version`.
+/// Version `v` is the base plus batches `0..v-1`, so a fresh `LiveGraph`
+/// over the same base replays any version the served one published.
+fn publish_up_to(live: &LiveGraph, base: &CsrGraph, seed: u64, version: u64) {
+    while live.current_version() < version {
+        live.publish(&slowdowns(base, seed, live.current_version() - 1));
+    }
+}
+
+/// A live answer, checked after the run on a replay of its version.
 struct Deferred {
     pair: usize,
     version: u64,
@@ -239,8 +283,8 @@ struct Deferred {
 
 /// Counts operations and checks answers.  Static-graph answers are
 /// compared with precomputed sequential A*; live answers are checked with
-/// sequential A* on their own snapshot once the measured phases are over,
-/// so the check does not compete with the service for the two cores.
+/// sequential A* on their version once the measured phases are over, so
+/// the check does not compete with the service for the two cores.
 struct Checker<'a> {
     pairs: &'a [(u32, u32)],
     references: &'a [(u64, u64)],
@@ -251,7 +295,6 @@ struct Checker<'a> {
     tasks: u64,
     baseline: u64,
     deferred: Vec<Deferred>,
-    snapshots: HashMap<u64, GraphSnapshot>,
 }
 
 impl<'a> Checker<'a> {
@@ -266,7 +309,6 @@ impl<'a> Checker<'a> {
             tasks: 0,
             baseline: 0,
             deferred: Vec::new(),
-            snapshots: HashMap::new(),
         }
     }
 
@@ -283,21 +325,17 @@ impl<'a> Checker<'a> {
         if std::mem::take(&mut self.corrupt) {
             distance ^= 1;
         }
-        match reply.snapshot {
+        match reply.version {
             None => {
                 let (expected, expanded) = self.references[pair];
                 self.verdict(distance != expected, slow, expanded);
             }
-            Some(snapshot) => {
-                let version = snapshot.version();
-                self.snapshots.entry(version).or_insert(snapshot);
-                self.deferred.push(Deferred {
-                    pair,
-                    version,
-                    distance,
-                    slow,
-                });
-            }
+            Some((version, _)) => self.deferred.push(Deferred {
+                pair,
+                version,
+                distance,
+                slow,
+            }),
         }
     }
 
@@ -307,17 +345,34 @@ impl<'a> Checker<'a> {
         self.baseline += expanded;
     }
 
-    /// Checks every deferred answer on the snapshot that served it.
-    fn settle(&mut self, wd: &Watchdog) {
-        for (i, d) in std::mem::take(&mut self.deferred).into_iter().enumerate() {
+    /// Checks every deferred answer of `served` with sequential A* on its
+    /// version, rebuilt by replaying the seeded batches on a fresh
+    /// `LiveGraph` over `base`.  Replayed version `v` holds what served
+    /// version `v` held, so a served snapshot whose contents went wrong
+    /// shows as a wrong answer.  An answer claiming a version that was
+    /// never published is wrong.
+    fn settle(&mut self, served: &LiveGraph, base: &Arc<CsrGraph>, seed: u64, wd: &Watchdog) {
+        let mut deferred = std::mem::take(&mut self.deferred);
+        deferred.sort_by_key(|d| d.version);
+        let replay = LiveGraph::new(Arc::clone(base));
+        let mut snapshot = replay.pin();
+        for (i, d) in deferred.into_iter().enumerate() {
+            if !(1..=served.current_version()).contains(&d.version) {
+                self.verdict(true, d.slow, 0);
+                continue;
+            }
+            if snapshot.version() != d.version {
+                wd.watch("replay", d.version, || {
+                    publish_up_to(&replay, base, seed, d.version)
+                });
+                snapshot = replay.pin();
+            }
             let (source, target) = self.pairs[d.pair];
-            let snapshot = &self.snapshots[&d.version];
             let (expected, expanded) = wd.watch("check", i as u64, || {
-                astar::sequential(snapshot, source, target)
+                astar::sequential(&snapshot, source, target)
             });
             self.verdict(d.distance != expected, d.slow, expanded);
         }
-        self.snapshots.clear();
     }
 
     fn absorb(&mut self, other: Checker<'_>) {
@@ -327,7 +382,6 @@ impl<'a> Checker<'a> {
         self.tasks += other.tasks;
         self.baseline += other.baseline;
         self.deferred.extend(other.deferred);
-        self.snapshots.extend(other.snapshots);
     }
 }
 
@@ -520,8 +574,8 @@ fn open_loop<G: Served>(
                 .query_overhead_us
                 .push(ms((reply.finished - reply.started).saturating_sub(elapsed)) * 1e3);
             stats.work.add(result);
-            if let Some(snapshot) = &reply.snapshot {
-                stats.overlay_edges += snapshot.overlay_edges() as u64;
+            if let Some((_, overlay_edges)) = reply.version {
+                stats.overlay_edges += overlay_edges as u64;
                 stats.views += 1;
             }
             let root = tracer.span("request", f.due, reply.finished, None, f.id);
@@ -580,8 +634,8 @@ fn slowdowns(base: &CsrGraph, seed: u64, round: u64) -> Vec<GraphUpdate> {
     )
 }
 
-/// The writer thread of `live`: publishes one slowdown batch every
-/// `1 / publishes_per_s` seconds (absolute schedule) until `stop`.
+/// The writer thread of `live`: publishes the next seeded slowdown batch
+/// every `1 / publishes_per_s` seconds (absolute schedule) until `stop`.
 /// Slowdowns are derived from the base weights, so every version keeps
 /// the A* heuristic admissible.  Returns each publish's duration in ms.
 fn writer(
@@ -598,7 +652,7 @@ fn writer(
     let mut publish_ms = Vec::new();
     let mut round = 0u64;
     while !stop.load(Ordering::SeqCst) {
-        let updates = slowdowns(base, seed, PREFILL_BATCHES + round);
+        let updates = slowdowns(base, seed, live.current_version() - 1);
         let token = wd.begin("publish", round);
         let t0 = Instant::now();
         live.publish(&updates);
@@ -627,12 +681,12 @@ pub fn run(args: &Args, wd: &Watchdog) -> Outcome {
 }
 
 fn run_on<G: Served>(args: &Args, wd: &Watchdog) -> Outcome {
-    let sizing = sizing(args.size);
+    let sizing = sizing(args.size, args.workload);
     let seed = args.seed;
     let mut setup_s = Vec::new();
     let mut graph_s = Vec::new();
     let mut setup = None;
-    for i in 0..SETUPS {
+    for i in 0..G::SETUPS {
         drop(setup.take()); // shut the previous service down first
         let st = wd.watch("setup", i as u64, || {
             set_up::<G>(sizing.grid, seed, args.trace)
@@ -662,13 +716,6 @@ fn run_on<G: Served>(args: &Args, wd: &Watchdog) -> Outcome {
             })
             .collect(),
     };
-    if let Some(live) = st.graph.live() {
-        for round in 0..PREFILL_BATCHES {
-            wd.watch("prefill", round, || {
-                live.publish(&slowdowns(&st.base, seed, round))
-            });
-        }
-    }
     let stacks: Vec<&Stack<G>> = std::iter::once(&st.plain).chain(&st.traced).collect();
     for stack in &stacks {
         for (i, &pair) in pairs.iter().take(WARMUP_QUERIES).enumerate() {
@@ -727,7 +774,11 @@ fn run_on<G: Served>(args: &Args, wd: &Watchdog) -> Outcome {
         (open, publish_ms)
     });
     let steal = report::steal_note(host_start);
-    checker.settle(wd);
+    // Before the live check, which builds versions of its own.
+    let peak_rss_mb = report::peak_rss_mb();
+    if let Some(live) = st.graph.live() {
+        checker.settle(live, &st.base, seed, wd);
+    }
 
     let window = LATENCY_WINDOW.as_secs_f64();
     let mut notes = vec![
@@ -793,7 +844,7 @@ fn run_on<G: Served>(args: &Args, wd: &Watchdog) -> Outcome {
     } else {
         EndToEnd {
             setup_s: median(&setup_s),
-            peak_rss_mb: report::peak_rss_mb(),
+            peak_rss_mb,
             latency_p50_ms: windowed(&open.latency_ms, window, sizing.min_window, median),
             latency_tail_ms: windowed(&open.latency_ms, window, sizing.min_window, |w| {
                 percentile(w, 0.90)

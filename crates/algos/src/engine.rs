@@ -7,7 +7,7 @@
 //! progress (*wasted*), update some shared monotone state, and push
 //! follow-up tasks.  [`DecreaseKeyWorkload`] captures exactly that contract
 //! and [`run_parallel`] is the one parallel driver, so the useful/wasted
-//! accounting, the executor invocation, and the [`AlgoResult`] assembly
+//! accounting, the pool invocation, and the [`AlgoResult`] assembly
 //! exist once instead of once per algorithm.
 //!
 //! The shared state of these workloads is monotone (distances only
@@ -191,8 +191,8 @@ where
 /// `batch_size == 1` is exactly `run_parallel` (the per-task path, stats
 /// included).  Larger batches make the workers pop up to `batch_size` tasks
 /// per scheduling decision and flush follow-ups through the scheduler's
-/// `push_batch` at task boundaries, amortizing locks and (on erased pools)
-/// virtual dispatch over the batch; relaxation semantics and the computed
+/// `push_batch` at task boundaries, amortizing locks over the batch;
+/// relaxation semantics and the computed
 /// answer are unaffected — only the execution order within the relaxed
 /// guarantees shifts, like any other scheduling perturbation.
 pub fn run_parallel_batched<W, S>(

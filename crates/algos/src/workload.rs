@@ -6,7 +6,7 @@ use smq_runtime::RunMetrics;
 /// Scheduler-independent accounting attached to every parallel algorithm run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AlgoResult {
-    /// Wall-clock and scheduler-operation metrics from the executor.
+    /// Wall-clock and scheduler-operation metrics from the worker pool.
     pub metrics: RunMetrics,
     /// Tasks whose execution advanced the algorithm (settled a vertex,
     /// merged a component, ...).

@@ -1,15 +1,15 @@
 //! A *resident* worker pool for the relaxed priority schedulers, partitioned
 //! into **gangs** that execute jobs concurrently.
 //!
-//! The one-shot executor (`smq_runtime::run`) spawns and joins a fresh
-//! thread fleet for every invocation, so thread-spawn latency and cold
-//! scheduler state dominate any short job.  A [`WorkerPool`] instead spawns
+//! A [`WorkerPool`] is the one thread driver of the workspace: it spawns
 //! its fleet **once**, parks the workers on a condvar between jobs, and
-//! executes a stream of jobs against long-lived schedulers: each job seeds a
-//! scheduler, runs the shared worker loop
+//! executes a stream of jobs against long-lived schedulers, so
+//! thread-spawn latency and cold scheduler state are paid once, not per
+//! job.  Each job seeds a scheduler, runs the worker loop
 //! (`smq_runtime::executor::worker_loop`) to quiescence under a fresh
 //! termination-detection *generation*, and hands back per-job
-//! [`RunMetrics`].
+//! [`RunMetrics`].  A one-shot run is a single job on a transient pool
+//! ([`WorkerPool::with_borrowed`]).
 //!
 //! # Gangs: job-level parallelism
 //!
@@ -51,16 +51,14 @@
 //! [`Err(JobError::Lost)`](JobError::Lost); *other* gangs — and their
 //! in-flight jobs — are untouched, so a long-lived service survives a bad
 //! job.  On pools built from a scheduler *factory*
-//! ([`new_partitioned`](WorkerPool::new_partitioned) and friends) a
-//! poisoned gang is then **respawned**: its surviving workers are joined,
+//! ([`new_partitioned`](WorkerPool::new_partitioned)) a poisoned gang is
+//! then **respawned** at the next claim: its surviving workers are joined,
 //! the slot gets a fresh scheduler from the stored factory and fresh
 //! threads, and the gang returns to the free list — so `live_gangs`
 //! recovers to the configured gang count after any panic storm
-//! ([`PoolStats::gangs_respawned`] counts the rebuilds).  Respawn runs
-//! lazily at the next claim by default, or immediately when the claim that
-//! observed the poison releases ([`RespawnPolicy::Eager`]);
-//! [`RespawnPolicy::Never`] keeps the historical retire-forever behaviour.
-//! Pools without a factory ([`WorkerPool::new`],
+//! ([`PoolStats::gangs_respawned`] counts the rebuilds;
+//! [`respawn_dead`](WorkerPool::respawn_dead) forces the rebuild without
+//! waiting for a claim).  Pools without a factory ([`WorkerPool::new`],
 //! [`with_borrowed`](WorkerPool::with_borrowed)) cannot rebuild a
 //! scheduler and always retire poisoned gangs; once every gang of such a
 //! pool is dead, claims fail with [`JobError::NoCapacity`] instead of
@@ -99,11 +97,13 @@
 //!   pool built on a *borrowed* scheduler and joins every worker before
 //!   returning — the scoped mode backing `smq_algos::engine::run_parallel`.
 //!
-//! All funnel into one erased representation (a raw pointer to a small
-//! object-safe scheduler vtable); the join-before-invalidation discipline
-//! is what makes the erasure sound, and it is enforced structurally (the
-//! scoped constructor joins on every path, including unwinds, and the
-//! owning constructors join in `Drop` before the boxes are released).
+//! All funnel into one erased representation — a thin pointer to the
+//! scheduler, cast back to its concrete type by the monomorphized worker
+//! entry the constructor installs.  The join-before-invalidation
+//! discipline is what makes the erasure sound, and it is enforced
+//! structurally (the scoped constructor joins on every path, including
+//! unwinds, and the owning constructors join in `Drop` before the boxes are
+//! released).
 
 #![warn(missing_docs)]
 
@@ -124,8 +124,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use smq_core::{OpStats, Scheduler, SchedulerHandle, Task};
-use smq_runtime::executor::{worker_loop_instrumented, LoopControl, WorkerLoopConfig};
-use smq_runtime::{RunMetrics, Scratch, TerminationDetector, Topology};
+use smq_runtime::executor::{worker_loop, LoopControl, WorkerLoopConfig};
+use smq_runtime::{RunMetrics, Scratch, TerminationDetector};
 use smq_telemetry::{TelemetryConfig, TelemetryReport, WorkerReport, WorkerTelemetry};
 
 /// Why a pool job produced no output.
@@ -144,12 +144,6 @@ pub enum JobError {
     /// cancelled; its gangs drained cleanly and remain usable.
     BudgetExceeded,
 }
-
-/// Backwards-compatible name for [`JobError::Lost`]: earlier releases
-/// surfaced job loss as a dedicated `JobLost` unit type, and the variant
-/// alias keeps both `Err(JobLost)` expressions and patterns compiling.
-#[doc(hidden)]
-pub use JobError::Lost as JobLost;
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -189,21 +183,6 @@ impl JobSpec {
     }
 }
 
-/// When poisoned gangs of a factory-built pool are rebuilt.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RespawnPolicy {
-    /// Rebuild dead gangs at the next [`claim`](WorkerPool::run_job), off
-    /// the job hot path (the default for factory-built pools).
-    #[default]
-    Lazy,
-    /// Rebuild a poisoned gang as soon as the claim that observed the
-    /// poison releases, so capacity returns before the next job asks.
-    Eager,
-    /// Never rebuild: a poisoned gang is retired forever (the historical
-    /// behaviour, and the only option for pools without a factory).
-    Never,
-}
-
 /// Pool tuning knobs.
 ///
 /// The fleet is `gangs * gang_size` worker threads.  `PoolConfig::new(n)`
@@ -228,25 +207,13 @@ pub struct PoolConfig {
     /// Worker threads per gang.  Must match each gang scheduler's
     /// configured thread count.
     pub gang_size: usize,
-    /// The per-worker loop knobs (backoff, scan gating) — the same
-    /// [`WorkerLoopConfig`] the one-shot executor uses, so defaults live in
-    /// one place.
+    /// The per-worker loop knobs (see [`WorkerLoopConfig`]).
     pub worker: WorkerLoopConfig,
-    /// Optional (simulated) NUMA topology covering the whole fleet.  When
-    /// set, gang placement is socket-aligned: `gang_size` must divide
-    /// `threads_per_node`, so no gang ever straddles a node boundary, and
-    /// [`node_of_gang`](Self::node_of_gang) reports each gang's home node
-    /// (which [`WorkerPool::new_aligned`] forwards to the scheduler
-    /// factory).  `None` (the default) keeps placement topology-blind.
-    pub topology: Option<Topology>,
     /// Opt-in instrumentation for every worker (phase accounting,
     /// rank-error probing, event rings).  Disabled by default: the
     /// uninstrumented hot path takes no timestamps and makes no extra
     /// scheduler calls.
     pub telemetry: TelemetryConfig,
-    /// When poisoned gangs are rebuilt (see [`RespawnPolicy`]).  Ignored by
-    /// pools without a scheduler factory, which can never rebuild.
-    pub respawn: RespawnPolicy,
     /// Deterministic fault plan injected into every worker — chaos-testing
     /// only, see [`fault::FaultPlan`].
     #[cfg(feature = "fault-inject")]
@@ -254,19 +221,10 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// A single-gang configuration with `threads` workers and default
-    /// backoff/gating: every job occupies the whole fleet, one at a time.
+    /// A single-gang configuration with `threads` workers: every job
+    /// occupies the whole fleet, one at a time.
     pub fn new(threads: usize) -> Self {
-        Self {
-            gangs: 1,
-            gang_size: threads,
-            worker: WorkerLoopConfig::default(),
-            topology: None,
-            telemetry: TelemetryConfig::disabled(),
-            respawn: RespawnPolicy::default(),
-            #[cfg(feature = "fault-inject")]
-            faults: None,
-        }
+        Self::partitioned(1, threads)
     }
 
     /// A configuration with `gangs` gangs of `gang_size` workers each, so
@@ -276,80 +234,16 @@ impl PoolConfig {
             gangs,
             gang_size,
             worker: WorkerLoopConfig::default(),
-            topology: None,
             telemetry: TelemetryConfig::disabled(),
-            respawn: RespawnPolicy::default(),
             #[cfg(feature = "fault-inject")]
             faults: None,
-        }
-    }
-
-    /// A socket-aligned configuration covering every thread of `topology`:
-    /// the requested `gang_size` is snapped *down* to the nearest divisor
-    /// of `threads_per_node` so a gang can never straddle a node boundary,
-    /// and the gang count is whatever tiles the fleet at that size.
-    ///
-    /// A hint of `threads_per_node` (or any multiple of it) yields
-    /// one-gang-per-node placement, the layout the paper's NUMA tables
-    /// assume.
-    pub fn numa_aligned(topology: Topology, gang_size_hint: usize) -> Self {
-        let per_node = topology.threads_per_node();
-        let hint = gang_size_hint.clamp(1, per_node);
-        let gang_size = (1..=hint)
-            .rev()
-            .find(|size| per_node.is_multiple_of(*size))
-            .expect("1 always divides threads_per_node");
-        let gangs = topology.num_threads() / gang_size;
-        Self {
-            gangs,
-            gang_size,
-            worker: WorkerLoopConfig::default(),
-            topology: Some(topology),
-            telemetry: TelemetryConfig::disabled(),
-            respawn: RespawnPolicy::default(),
-            #[cfg(feature = "fault-inject")]
-            faults: None,
-        }
-    }
-
-    /// Attaches a NUMA topology to an existing configuration, asserting the
-    /// socket-alignment invariants (`topology` covers the exact fleet and
-    /// `gang_size` divides `threads_per_node`).  Use
-    /// [`numa_aligned`](Self::numa_aligned) to have the gang size snapped
-    /// automatically instead.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        assert_eq!(
-            topology.num_threads(),
-            self.total_threads(),
-            "topology must cover the pool's whole fleet"
-        );
-        assert_eq!(
-            topology.threads_per_node() % self.gang_size,
-            0,
-            "gang size {} must divide threads_per_node {} so gangs never straddle a node",
-            self.gang_size,
-            topology.threads_per_node()
-        );
-        self.topology = Some(topology);
-        self
-    }
-
-    /// The NUMA node gang `gang` is placed on: gangs tile nodes in order,
-    /// `threads_per_node / gang_size` gangs per node.  Node 0 when no
-    /// topology is configured (single-node placement).
-    pub fn node_of_gang(&self, gang: usize) -> usize {
-        debug_assert!(gang < self.gangs);
-        match &self.topology {
-            Some(topology) => (gang * self.gang_size) / topology.threads_per_node(),
-            None => 0,
         }
     }
 
     /// Sets the hot-path batch granularity for every worker (see
     /// `smq_runtime::executor::WorkerLoopConfig::batch_size`).  Batch 1
     /// (the default) is the exact historical per-task path; larger batches
-    /// amortize scheduler synchronization and — on erased pools — virtual
-    /// dispatch over the batch.
+    /// amortize scheduler synchronization over the batch.
     pub fn with_batch(mut self, batch_size: usize) -> Self {
         self.worker.batch_size = batch_size.max(1);
         self
@@ -360,12 +254,6 @@ impl PoolConfig {
     /// `TelemetryReport` in their metrics.
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Sets when poisoned gangs are rebuilt (see [`RespawnPolicy`]).
-    pub fn with_respawn(mut self, respawn: RespawnPolicy) -> Self {
-        self.respawn = respawn;
         self
     }
 
@@ -433,7 +321,7 @@ pub struct PoolStats {
     /// still counts here (compare with [`gangs_respawned`](Self::gangs_respawned)).
     pub gangs_poisoned: u64,
     /// Poisoned gangs rebuilt with fresh threads and a fresh scheduler from
-    /// the pool's factory (see [`RespawnPolicy`]).
+    /// the pool's factory (see the module docs).
     pub gangs_respawned: u64,
 }
 
@@ -515,128 +403,9 @@ impl JobControl {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scheduler erasure: a minimal object-safe mirror of `Scheduler<Task>`, so
-// heterogeneous pools (different scheduler types per gang) can exist behind
-// the non-generic `WorkerPool`.  Homogeneous pools — every constructor
-// except `new_mixed` — do NOT pay for this vtable: their workers run a
-// monomorphized entry that recovers the concrete scheduler type, so every
-// push/pop/batch call is a direct (usually inlined) call.
-// ---------------------------------------------------------------------------
-
-/// Object-safe mirror of `Scheduler<Task>`, blanket-implemented for every
-/// scheduler.  Only [`WorkerPool::new_mixed`] pools dispatch through it;
-/// its batch entries keep even that erased path at **one indirect call per
-/// batch** instead of one per task.
-pub trait DynScheduler: Sync {
-    /// Creates the boxed erased handle for worker `tid`.
-    fn dyn_handle(&self, tid: usize) -> Box<dyn DynHandle + '_>;
-    /// Mirror of `Scheduler::num_threads`.
-    fn num_threads(&self) -> usize;
-}
-
-/// Object-safe mirror of `SchedulerHandle<Task>` (see [`DynScheduler`]).
-pub trait DynHandle {
-    /// Mirror of `SchedulerHandle::push`.
-    fn push(&mut self, task: Task);
-    /// Mirror of `SchedulerHandle::pop`.
-    fn pop(&mut self) -> Option<Task>;
-    /// Mirror of `SchedulerHandle::push_batch`: one virtual call moves the
-    /// whole batch.
-    fn push_batch(&mut self, tasks: &mut Vec<Task>);
-    /// Mirror of `SchedulerHandle::pop_batch`: one virtual call fills the
-    /// whole batch.
-    fn pop_batch(&mut self, out: &mut Vec<Task>, max: usize) -> usize;
-    /// Mirror of `SchedulerHandle::flush`.
-    fn flush(&mut self);
-    /// Mirror of `SchedulerHandle::stats`.
-    fn stats(&self) -> OpStats;
-    /// Mirror of `SchedulerHandle::min_key_hint`.
-    fn min_key_hint(&self) -> Option<u64>;
-}
-
-impl<S: Scheduler<Task>> DynScheduler for S {
-    fn dyn_handle(&self, tid: usize) -> Box<dyn DynHandle + '_> {
-        Box::new(Scheduler::handle(self, tid))
-    }
-
-    fn num_threads(&self) -> usize {
-        Scheduler::num_threads(self)
-    }
-}
-
-impl<H: SchedulerHandle<Task>> DynHandle for H {
-    fn push(&mut self, task: Task) {
-        SchedulerHandle::push(self, task);
-    }
-
-    fn pop(&mut self) -> Option<Task> {
-        SchedulerHandle::pop(self)
-    }
-
-    fn push_batch(&mut self, tasks: &mut Vec<Task>) {
-        SchedulerHandle::push_batch(self, tasks);
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<Task>, max: usize) -> usize {
-        SchedulerHandle::pop_batch(self, out, max)
-    }
-
-    fn flush(&mut self) {
-        SchedulerHandle::flush(self);
-    }
-
-    fn stats(&self) -> OpStats {
-        SchedulerHandle::stats(self)
-    }
-
-    fn min_key_hint(&self) -> Option<u64> {
-        SchedulerHandle::min_key_hint(self)
-    }
-}
-
-/// `SchedulerHandle` for the boxed erased handle, so the shared
-/// `worker_loop` (generic over `H: SchedulerHandle<T>`) drives it directly.
-/// The batch forwards are what make the erased hot path batch-granular:
-/// one indirect call per batch, not per task.
-impl SchedulerHandle<Task> for Box<dyn DynHandle + '_> {
-    #[inline]
-    fn push(&mut self, task: Task) {
-        (**self).push(task);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Task> {
-        (**self).pop()
-    }
-
-    #[inline]
-    fn push_batch(&mut self, tasks: &mut Vec<Task>) {
-        (**self).push_batch(tasks);
-    }
-
-    #[inline]
-    fn pop_batch(&mut self, out: &mut Vec<Task>, max: usize) -> usize {
-        (**self).pop_batch(out, max)
-    }
-
-    #[inline]
-    fn flush(&mut self) {
-        (**self).flush();
-    }
-
-    #[inline]
-    fn stats(&self) -> OpStats {
-        (**self).stats()
-    }
-
-    #[inline]
-    fn min_key_hint(&self) -> Option<u64> {
-        (**self).min_key_hint()
-    }
-}
-
-/// Lifetime-erased pointer to one gang's scheduler.
+/// Type- and lifetime-erased pointer to one gang's scheduler.  Only the
+/// pool's `worker_main_typed` entry dereferences it, casting it back to
+/// the scheduler type `S` the constructor that built the pool erased.
 ///
 /// # Safety invariant
 /// The pointee must stay alive and unmoved until every worker thread of the
@@ -645,7 +414,7 @@ impl SchedulerHandle<Task> for Box<dyn DynHandle + '_> {
 /// and joining in `Drop` before the boxes are released;
 /// `WorkerPool::with_borrowed` by joining before the borrow ends.
 #[derive(Clone, Copy)]
-struct SchedulerRef(*const (dyn DynScheduler + 'static));
+struct SchedulerRef(*const ());
 // SAFETY: the pointee is `Sync` (required by `Scheduler`) and the pointer
 // is only dereferenced while the invariant above holds.
 unsafe impl Send for SchedulerRef {}
@@ -716,9 +485,6 @@ impl JobState {
 /// One independent worker gang: scheduler, detector, and hand-off state.
 struct Gang {
     size: usize,
-    /// NUMA node this gang is placed on, when the pool has a topology —
-    /// kept so respawned threads get the same `smq-pool-n{node}-…` names.
-    node: Option<usize>,
     /// The gang's scheduler; replaced wholesale on respawn.  Workers read
     /// it exactly once, at thread start.
     scheduler: Mutex<SchedulerRef>,
@@ -761,10 +527,10 @@ struct ClaimState {
     now_serving: u64,
 }
 
-/// The per-worker thread entry installed by the constructor: the typed
-/// (monomorphized) entry for homogeneous pools, the erased entry for
-/// [`WorkerPool::new_mixed`].  The signature mentions no scheduler type, so
-/// one plain function pointer serves both.
+/// The per-worker thread entry installed by the constructor:
+/// `worker_main_typed` for the pool's scheduler type.  The signature
+/// mentions no scheduler type, so the non-generic pool can store it and
+/// respawns can reuse it.
 type WorkerEntry = fn(&Arc<Inner>, usize, usize);
 
 /// Rebuilds one gang's scheduler: returns the erased ref and the box that
@@ -797,7 +563,6 @@ struct Inner {
     entry: WorkerEntry,
     /// Present on factory-built pools: how to rebuild a gang's scheduler.
     respawn_factory: Option<RespawnFactory>,
-    respawn_policy: RespawnPolicy,
     /// Deterministic fault schedule shared by every worker (chaos testing).
     #[cfg(feature = "fault-inject")]
     faults: Option<FaultPlan>,
@@ -872,8 +637,8 @@ fn current_job_spec() -> JobSpec {
 }
 
 /// Gangs held by one job; returns live gangs to the allocator on drop (also
-/// on unwind) and retires poisoned ones (respawning them right away under
-/// [`RespawnPolicy::Eager`]).
+/// on unwind) and retires poisoned ones (a factory pool respawns them at
+/// the next claim).
 struct GangClaim<'p> {
     inner: &'p Arc<Inner>,
     gangs: Vec<usize>,
@@ -889,11 +654,6 @@ impl Drop for GangClaim<'_> {
                 st.dead.push(g);
             } else {
                 st.free.push(g);
-            }
-        }
-        if inner.respawn_policy == RespawnPolicy::Eager && inner.respawn_factory.is_some() {
-            while let Some(g) = st.dead.pop() {
-                respawn_gang(inner, &mut st, g);
             }
         }
         // Wake every waiter: the head ticket re-checks its gang count, and
@@ -948,10 +708,7 @@ fn respawn_gang(inner: &Arc<Inner>, st: &mut ClaimState, g: usize) {
 fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize) {
     let gang = &inner.gangs[gang_idx];
     for local in 0..gang.size {
-        let name = match gang.node {
-            Some(node) => format!("smq-pool-n{node}-{gang_idx}-{local}"),
-            None => format!("smq-pool-{gang_idx}-{local}"),
-        };
+        let name = format!("smq-pool-{gang_idx}-{local}");
         let worker_inner = Arc::clone(inner);
         let entry = inner.entry;
         match std::thread::Builder::new()
@@ -992,16 +749,29 @@ pub struct WorkerPool {
     jobs_completed: AtomicU64,
 }
 
+/// Checks that `scheduler` is sized for a gang of `gang_size` workers, then
+/// erases it to the thin pointer `worker_main_typed::<S>` casts back.
+fn erase<S: Scheduler<Task>>(scheduler: &S, gang_size: usize, gang: usize) -> SchedulerRef {
+    assert_eq!(
+        gang_size,
+        scheduler.num_threads(),
+        "gang {gang}: pool gang size must match the scheduler's thread count"
+    );
+    SchedulerRef((scheduler as *const S).cast())
+}
+
 /// Erases one freshly built scheduler: the ref points into the box, and the
 /// box (the *keeper*) must outlive every thread that dereferences the ref.
-fn erase_scheduler<S>(scheduler: S) -> (SchedulerRef, Box<dyn std::any::Any + Send + Sync>)
+fn erase_owned<S>(
+    scheduler: S,
+    gang_size: usize,
+    gang: usize,
+) -> (SchedulerRef, Box<dyn std::any::Any + Send + Sync>)
 where
     S: Scheduler<Task> + Send + Sync + 'static,
 {
     let boxed: Box<S> = Box::new(scheduler);
-    let erased: &(dyn DynScheduler + 'static) = &*boxed;
-    let ptr: *const (dyn DynScheduler + 'static) = erased;
-    (SchedulerRef(ptr), boxed)
+    (erase(&*boxed, gang_size, gang), boxed)
 }
 
 impl WorkerPool {
@@ -1020,13 +790,8 @@ impl WorkerPool {
             "WorkerPool::new builds a single-gang pool; use new_partitioned for {} gangs",
             config.gangs
         );
-        let (sref, keeper) = erase_scheduler(scheduler);
-        Self::spawn(
-            vec![(sref, Some(keeper))],
-            None,
-            config,
-            worker_main_typed::<S>,
-        )
+        let (sref, keeper) = erase_owned(scheduler, config.gang_size, 0);
+        Self::spawn::<S>(vec![(sref, Some(keeper))], None, config)
     }
 
     /// Spawns a pool of `config.gangs` gangs, building each gang's
@@ -1035,71 +800,22 @@ impl WorkerPool {
     /// Every scheduler must be configured for `config.gang_size` threads —
     /// a gang is an independent scheduler universe sized to its workers.
     /// The factory is retained for the pool's lifetime so poisoned gangs
-    /// can be **respawned** with a fresh scheduler (see [`RespawnPolicy`]),
+    /// can be **respawned** with a fresh scheduler (see the module docs),
     /// which is why it must be `Fn + Send + Sync + 'static`.
     pub fn new_partitioned<S, F>(factory: F, config: PoolConfig) -> WorkerPool
     where
         S: Scheduler<Task> + Send + Sync + 'static,
         F: Fn(usize) -> S + Send + Sync + 'static,
     {
-        let make: RespawnFactory = Box::new(move |g| erase_scheduler(factory(g)));
+        let gang_size = config.gang_size;
+        let make: RespawnFactory = Box::new(move |g| erase_owned(factory(g), gang_size, g));
         let schedulers: Vec<_> = (0..config.gangs)
             .map(|g| {
                 let (sref, keeper) = make(g);
                 (sref, Some(keeper))
             })
             .collect();
-        Self::spawn(schedulers, Some(make), config, worker_main_typed::<S>)
-    }
-
-    /// Spawns a socket-aligned pool: like
-    /// [`new_partitioned`](Self::new_partitioned), but the factory receives
-    /// `(gang_index, node)` where `node` is the NUMA node the gang is
-    /// placed on (per [`PoolConfig::node_of_gang`]), so each gang's
-    /// scheduler can be built NUMA-configured for its own socket.
-    ///
-    /// Typically used with [`PoolConfig::numa_aligned`]; without a
-    /// configured topology every gang reports node 0.
-    pub fn new_aligned<S, F>(factory: F, config: PoolConfig) -> WorkerPool
-    where
-        S: Scheduler<Task> + Send + Sync + 'static,
-        F: Fn(usize, usize) -> S + Send + Sync + 'static,
-    {
-        let nodes: Vec<usize> = (0..config.gangs).map(|g| config.node_of_gang(g)).collect();
-        Self::new_partitioned(move |g| factory(g, nodes[g]), config)
-    }
-
-    /// Spawns a pool whose gangs may run **different scheduler types** —
-    /// the heterogeneous escape hatch behind the same `WorkerPool` API.
-    ///
-    /// Workers of a mixed pool drive their scheduler through the
-    /// [`DynScheduler`]/[`DynHandle`] vtable; thanks to the batch entries,
-    /// even this erased path pays one indirect call per *batch* once a
-    /// batch size is configured.  Homogeneous pools (every other
-    /// constructor) skip the vtable entirely via a monomorphized worker
-    /// entry.
-    pub fn new_mixed<F>(factory: F, config: PoolConfig) -> WorkerPool
-    where
-        F: Fn(usize) -> Box<dyn DynScheduler + Send + Sync> + Send + Sync + 'static,
-    {
-        let make: RespawnFactory = Box::new(move |g| {
-            // Double-box: the inner box's heap pointee is what the ref
-            // targets, so moving the outer keeper never invalidates it.
-            let boxed: Box<dyn DynScheduler + Send + Sync> = factory(g);
-            let erased: &(dyn DynScheduler + 'static) = &*boxed;
-            let ptr: *const (dyn DynScheduler + 'static) = erased;
-            (
-                SchedulerRef(ptr),
-                Box::new(boxed) as Box<dyn std::any::Any + Send + Sync>,
-            )
-        });
-        let schedulers: Vec<_> = (0..config.gangs)
-            .map(|g| {
-                let (sref, keeper) = make(g);
-                (sref, Some(keeper))
-            })
-            .collect();
-        Self::spawn(schedulers, Some(make), config, worker_main_dyn)
+        Self::spawn::<S>(schedulers, Some(make), config)
     }
 
     /// Runs `f` against a transient single-gang pool built on a *borrowed*
@@ -1117,62 +833,34 @@ impl WorkerPool {
         S: Scheduler<Task>,
     {
         assert_eq!(config.gangs, 1, "with_borrowed builds a single-gang pool");
-        let erased: &dyn DynScheduler = scheduler;
-        // SAFETY: the erased pointer outlives every dereference because the
-        // pool joins all workers before this function returns: on the happy
-        // path via the explicit `shutdown`, on unwind via `Drop`.  `f` only
+        // The erased pointer outlives every dereference because the pool
+        // joins all workers before this function returns: on the happy path
+        // via the explicit `shutdown`, on unwind via `Drop`.  `f` only
         // receives `&WorkerPool`, so the pool cannot escape or be leaked.
-        let ptr: *const (dyn DynScheduler + 'static) =
-            unsafe { std::mem::transmute(erased as *const dyn DynScheduler) };
-        let mut pool = Self::spawn(
-            vec![(SchedulerRef(ptr), None)],
-            None,
-            config,
-            worker_main_typed::<S>,
-        );
+        let sref = erase(scheduler, config.gang_size, 0);
+        let mut pool = Self::spawn::<S>(vec![(sref, None)], None, config);
         let result = f(&pool);
         pool.shutdown();
         result
     }
 
-    fn spawn(
+    /// Builds the gangs around size-checked schedulers and spawns every
+    /// worker on `worker_main_typed::<S>`, which casts each ref back to an
+    /// `S`: every ref in `schedulers`, and every ref `respawn_factory`
+    /// returns, must have been erased from an `S`.
+    fn spawn<S: Scheduler<Task>>(
         schedulers: Vec<(SchedulerRef, Option<Box<dyn std::any::Any + Send + Sync>>)>,
         respawn_factory: Option<RespawnFactory>,
         config: PoolConfig,
-        entry: WorkerEntry,
     ) -> WorkerPool {
         assert!(config.gangs >= 1, "need at least one gang");
         assert!(config.gang_size >= 1, "need at least one worker per gang");
         assert_eq!(schedulers.len(), config.gangs, "one scheduler per gang");
-        if let Some(topology) = &config.topology {
-            assert_eq!(
-                topology.num_threads(),
-                config.total_threads(),
-                "topology must cover the pool's whole fleet"
-            );
-            assert_eq!(
-                topology.threads_per_node() % config.gang_size,
-                0,
-                "gang size must divide threads_per_node so gangs never straddle a node"
-            );
-        }
-        for (g, (scheduler, _)) in schedulers.iter().enumerate() {
-            // SAFETY: the pointees are alive for the whole constructor.
-            let scheduler_threads = unsafe { (*scheduler.0).num_threads() };
-            assert_eq!(
-                config.gang_size, scheduler_threads,
-                "gang {g}: pool gang size must match the scheduler's thread count"
-            );
-        }
 
         let gangs: Vec<Gang> = schedulers
             .into_iter()
-            .enumerate()
-            .map(|(g, (scheduler, keeper))| Gang {
+            .map(|(scheduler, keeper)| Gang {
                 size: config.gang_size,
-                // Socket-aligned pools carry the node in the worker
-                // identity so thread dumps show placement at a glance.
-                node: config.topology.as_ref().map(|_| config.node_of_gang(g)),
                 scheduler: Mutex::new(scheduler),
                 keeper: Mutex::new(keeper),
                 threads: Mutex::new(Vec::with_capacity(config.gang_size)),
@@ -1199,9 +887,8 @@ impl WorkerPool {
             origin: Instant::now(),
             handles_created: AtomicU64::new(0),
             threads_spawned: AtomicU64::new(0),
-            entry,
+            entry: worker_main_typed::<S>,
             respawn_factory,
-            respawn_policy: config.respawn,
             #[cfg(feature = "fault-inject")]
             faults: config.faults.clone(),
             gangs,
@@ -1232,8 +919,8 @@ impl WorkerPool {
         self.inner.gangs[0].size
     }
 
-    /// Gangs not currently retired by a job panic (respawn brings retired
-    /// gangs back — see [`RespawnPolicy`]).
+    /// Gangs not currently retired by a job panic (on factory pools the
+    /// next claim respawns retired gangs — see the module docs).
     pub fn live_gangs(&self) -> usize {
         let st = lock(&self.inner.claims);
         self.inner.gangs.len() - st.dead.len()
@@ -1254,9 +941,9 @@ impl WorkerPool {
     }
 
     /// Forces an immediate rebuild of every dead gang (factory pools only);
-    /// returns how many were respawned.  [`RespawnPolicy::Lazy`] pools do
-    /// this implicitly at the next claim — this entry point exists so tests
-    /// and benchmarks can restore full capacity at a deterministic moment.
+    /// returns how many were respawned.  Factory pools do this implicitly at
+    /// the next claim — this entry point exists so tests and benchmarks can
+    /// restore full capacity at a deterministic moment.
     pub fn respawn_dead(&self) -> usize {
         if self.inner.respawn_factory.is_none() {
             return 0;
@@ -1275,9 +962,8 @@ impl WorkerPool {
 
     /// Claims `want` gangs (capped to the live gang count) in strict FIFO
     /// order.  Blocks until this caller is at the head of the queue *and*
-    /// enough gangs are idle.  Dead gangs are respawned here first (the
-    /// [`RespawnPolicy::Lazy`] path), so on factory pools capacity recovers
-    /// before admission is decided.
+    /// enough gangs are idle.  On factory pools dead gangs are respawned
+    /// here first, so capacity recovers before admission is decided.
     ///
     /// Fails with [`JobError::NoCapacity`] when every gang is dead and none
     /// can be respawned.  That state is *permanent* (only a panic kills a
@@ -1290,7 +976,7 @@ impl WorkerPool {
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         loop {
-            if inner.respawn_factory.is_some() && inner.respawn_policy != RespawnPolicy::Never {
+            if inner.respawn_factory.is_some() {
                 let mut respawned = false;
                 while let Some(g) = st.dead.pop() {
                     respawn_gang(inner, &mut st, g);
@@ -1414,7 +1100,7 @@ impl WorkerPool {
         let total_workers: usize = gang_idxs.iter().map(|&g| inner.gangs[g].size).sum();
 
         // Split the seeds round-robin over every participating worker so
-        // each seeds its own queues, exactly like the one-shot executor.
+        // each seeds its own queues.
         // (gang, local tid) pairs in a fixed order define the mapping.
         let mut seeds: Vec<Vec<Task>> = (0..total_workers).map(|_| Vec::new()).collect();
         for (i, task) in job.seed_tasks().into_iter().enumerate() {
@@ -1610,10 +1296,11 @@ impl Drop for CompletionGuard<'_> {
     }
 }
 
-/// The monomorphized worker entry for homogeneous pools: recovers the
-/// concrete scheduler type `S`, so the handle lives on the worker's stack
-/// and every hot-path scheduler call in the shared `worker_loop` is a
-/// direct (typically inlined) call — no `Box`, no vtable.
+/// The worker entry every pool installs: recovers the concrete scheduler
+/// type `S`, so the handle lives on the worker's stack and every hot-path
+/// scheduler call in `worker_loop` is a direct (typically inlined) call —
+/// no `Box`, no vtable.  Parks between jobs and runs each job published on
+/// its gang until shutdown.
 fn worker_main_typed<S: Scheduler<Task>>(inner: &Arc<Inner>, gang_idx: usize, local: usize) {
     let gang = &inner.gangs[gang_idx];
     // Read once at thread start: the ref is only ever replaced by a respawn,
@@ -1622,41 +1309,15 @@ fn worker_main_typed<S: Scheduler<Task>>(inner: &Arc<Inner>, gang_idx: usize, lo
     // SAFETY: the constructor that installed this entry built every gang's
     // scheduler as an `S` (the erased pointer's pointee), and the pool
     // joins this thread before invalidating it (see `SchedulerRef`).
-    let scheduler: &S = unsafe { &*(sref.0 as *const S) };
+    let scheduler: &S = unsafe { &*sref.0.cast::<S>() };
     // One handle and one scratch arena for the thread's whole life: local
     // queues, insert buffers, and scratch capacity all persist across jobs.
     let mut handle = scheduler.handle(local);
     inner.handles_created.fetch_add(1, Ordering::Relaxed);
-    run_worker(inner, gang_idx, local, &mut handle);
-}
-
-/// The erased worker entry for [`WorkerPool::new_mixed`]: one boxed handle
-/// per worker for the thread's whole life, every scheduler call one
-/// indirect call (one per *batch* on the batch paths).
-fn worker_main_dyn(inner: &Arc<Inner>, gang_idx: usize, local: usize) {
-    let gang = &inner.gangs[gang_idx];
-    let sref = *lock(&gang.scheduler);
-    // SAFETY: the pool joins this thread before invalidating the pointer
-    // (see `SchedulerRef`).
-    let scheduler: &dyn DynScheduler = unsafe { &*sref.0 };
-    let mut handle = scheduler.dyn_handle(local);
-    inner.handles_created.fetch_add(1, Ordering::Relaxed);
-    run_worker(inner, gang_idx, local, &mut handle);
-}
-
-/// The park/execute loop shared by both worker entries, generic over the
-/// handle so the typed entry monomorphizes the whole job hot path.
-fn run_worker<H: SchedulerHandle<Task>>(
-    inner: &Arc<Inner>,
-    gang_idx: usize,
-    local: usize,
-    handle: &mut H,
-) {
-    let gang = &inner.gangs[gang_idx];
     let mut scratch = Scratch::new();
     let mut last_seq = 0u64;
     // The OS thread name doubles as the trace-lane label, so timelines show
-    // `smq-pool-n0-g0-w1`-style identities.  Shared `Arc<str>`: one
+    // `smq-pool-0-1`-style identities.  Shared `Arc<str>`: one
     // allocation for the thread's lifetime, not one per instrumented job.
     let worker_name: std::sync::Arc<str> = std::thread::current()
         .name()
@@ -1693,9 +1354,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
         // SAFETY: valid until this worker's guard decrements `remaining`
         // (see `JobRef`).
         let job: &dyn PoolJob = unsafe { &*job_ref.0 };
-        // `H` sees both trait surfaces (`SchedulerHandle` and the blanket
-        // `DynHandle`); pin the calls to the view the worker loop uses.
-        let stats_before = SchedulerHandle::stats(handle);
+        let stats_before = handle.stats();
         let mut tally = gang.detector.tally(local);
         // `None` when telemetry is disabled: the loop below then runs the
         // exact uninstrumented path (no timestamps, no extra handle calls).
@@ -1712,13 +1371,13 @@ fn run_worker<H: SchedulerHandle<Task>>(
         // behavior, stats included.
         let mut seeds = seeds;
         if inner.loop_config.batch_size > 1 {
-            SchedulerHandle::push_batch(handle, &mut seeds);
+            handle.push_batch(&mut seeds);
         } else {
             for task in seeds.drain(..) {
-                SchedulerHandle::push(handle, task);
+                handle.push(task);
             }
         }
-        SchedulerHandle::flush(handle);
+        handle.flush();
 
         let mut useful = 0u64;
         let mut wasted = 0u64;
@@ -1727,8 +1386,8 @@ fn run_worker<H: SchedulerHandle<Task>>(
         let mut since_check = 0u32;
         #[cfg(feature = "fault-inject")]
         let faults = inner.faults.as_ref();
-        let outcome = worker_loop_instrumented(
-            handle,
+        let outcome = worker_loop(
+            &mut handle,
             &gang.detector,
             &mut tally,
             &mut scratch,
@@ -1790,7 +1449,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
             scans: outcome.scans,
             useful,
             wasted,
-            stats: SchedulerHandle::stats(handle).delta_since(&stats_before),
+            stats: handle.stats().delta_since(&stats_before),
             telemetry: telemetry.map(WorkerTelemetry::finish),
         });
         drop(guard); // publishes the result and wakes the coordinator
@@ -1846,64 +1505,6 @@ mod tests {
             move |_| smq(gang_size),
             PoolConfig::partitioned(gangs, gang_size),
         )
-    }
-
-    #[test]
-    fn numa_aligned_snaps_gang_size_to_node_divisors() {
-        // 2 nodes × 4 threads; a hint of 3 snaps down to 2 (largest divisor
-        // of 4 that is <= 3), giving 4 gangs of 2.
-        let cfg = PoolConfig::numa_aligned(Topology::uniform(2, 4), 3);
-        assert_eq!(cfg.gang_size, 2);
-        assert_eq!(cfg.gangs, 4);
-        assert_eq!(cfg.total_threads(), 8);
-        // Gangs tile nodes in order, two gangs per node.
-        assert_eq!(cfg.node_of_gang(0), 0);
-        assert_eq!(cfg.node_of_gang(1), 0);
-        assert_eq!(cfg.node_of_gang(2), 1);
-        assert_eq!(cfg.node_of_gang(3), 1);
-        // A whole-node hint yields one gang per node.
-        let cfg = PoolConfig::numa_aligned(Topology::uniform(2, 4), 4);
-        assert_eq!(cfg.gang_size, 4);
-        assert_eq!(cfg.gangs, 2);
-        assert_eq!(cfg.node_of_gang(1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide threads_per_node")]
-    fn straddling_gang_rejected() {
-        // Gang of 3 across nodes of 4 threads would straddle a boundary.
-        let _ = PoolConfig::partitioned(4, 3).with_topology(Topology::uniform(3, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the pool's whole fleet")]
-    fn topology_fleet_mismatch_rejected() {
-        let _ = PoolConfig::partitioned(2, 2).with_topology(Topology::uniform(2, 4));
-    }
-
-    #[test]
-    fn aligned_pool_hands_each_gang_its_node() {
-        let topology = Topology::uniform(2, 2);
-        let cfg = PoolConfig::numa_aligned(topology.clone(), 2);
-        assert_eq!(cfg.gangs, 2);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let record = Arc::clone(&seen);
-        let mut pool = WorkerPool::new_aligned(
-            move |gang, node| {
-                record.lock().unwrap().push((gang, node));
-                HeapSmq::new(
-                    SmqConfig::default_for_threads(2)
-                        .with_numa_scaled(Topology::single_node(2))
-                        .with_seed(7),
-                )
-            },
-            cfg,
-        );
-        assert_eq!(*seen.lock().unwrap(), vec![(0, 0), (1, 1)]);
-        let job = FanoutJob::new(50, 50);
-        let out = pool.run_job(&job).unwrap();
-        assert_eq!(out.metrics.tasks_executed, 150);
-        pool.shutdown();
     }
 
     /// One FanoutJob replay on a fresh single-worker pool of `scheduler`,
@@ -2154,34 +1755,67 @@ mod tests {
 
     #[test]
     fn panic_poisons_one_gang_and_the_rest_keep_serving() {
-        // Never-respawn keeps the historic retire-forever behaviour so the
-        // test can observe the degraded one-gang pool.
-        let pool = WorkerPool::new_partitioned(
-            move |_| smq(1),
-            PoolConfig::partitioned(2, 1).with_respawn(RespawnPolicy::Never),
-        );
-        assert_eq!(
-            pool.run_job_on(&PanickingJob, 1).map(|_| ()),
-            Err(JobError::Lost)
-        );
-        assert_eq!(pool.stats().gangs_poisoned, 1);
-        assert_eq!(pool.stats().gangs_respawned, 0);
-        assert_eq!(pool.live_gangs(), 1);
-        // The surviving gang still executes jobs correctly.
-        for _ in 0..5 {
-            let out = pool.run_job(&FanoutJob::new(30, 30)).unwrap();
+        use std::sync::atomic::AtomicBool;
+
+        /// Holds its gang until `gate` opens, then fans out like
+        /// `FanoutJob::new(30, 30)`.
+        struct HeldFanout {
+            fanout: FanoutJob,
+            started: AtomicBool,
+            gate: AtomicBool,
+        }
+
+        impl PoolJob for HeldFanout {
+            fn seed_tasks(&self) -> Vec<Task> {
+                self.fanout.seed_tasks()
+            }
+
+            fn process(&self, task: Task, push: &mut dyn FnMut(Task), s: &mut Scratch) -> bool {
+                self.started.store(true, Ordering::Release);
+                while !self.gate.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                self.fanout.process(task, push, s)
+            }
+        }
+
+        let pool = partitioned(2, 1);
+        let held = HeldFanout {
+            fanout: FanoutJob::new(30, 30),
+            started: AtomicBool::new(false),
+            gate: AtomicBool::new(false),
+        };
+        std::thread::scope(|scope| {
+            let in_flight = scope.spawn(|| pool.run_job_on(&held, 1));
+            while !held.started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            // The panic poisons the other gang while this one is busy.
+            assert_eq!(
+                pool.run_job_on(&PanickingJob, 1).map(|_| ()),
+                Err(JobError::Lost)
+            );
+            assert_eq!(pool.stats().gangs_poisoned, 1);
+            // Respawn waits for the next claim.
+            assert_eq!(pool.stats().gangs_respawned, 0);
+            assert_eq!(pool.live_gangs(), 1);
+            held.gate.store(true, Ordering::Release);
+            // The surviving gang finishes its in-flight job correctly.
+            let out = in_flight.join().unwrap().unwrap();
             assert_eq!(out.metrics.tasks_executed, 90);
             assert_eq!(out.metrics.threads, 1, "only the live gang participates");
+        });
+        for _ in 0..5 {
+            let out = pool.run_job_on(&FanoutJob::new(30, 30), 1).unwrap();
+            assert_eq!(out.metrics.tasks_executed, 90);
         }
-        assert_eq!(pool.stats().jobs_completed, 5);
+        assert_eq!(pool.stats().jobs_completed, 6);
     }
 
     #[test]
     fn fully_poisoned_pool_rejects_jobs_with_no_capacity() {
-        let pool = WorkerPool::new_partitioned(
-            move |_| smq(1),
-            PoolConfig::partitioned(1, 1).with_respawn(RespawnPolicy::Never),
-        );
+        // `WorkerPool::new` has no factory, so the dead gang stays dead.
+        let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
         assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
         assert_eq!(pool.live_gangs(), 0);
         // Nothing can serve the job, and nothing ever will: a typed error,
@@ -2196,8 +1830,8 @@ mod tests {
 
     #[test]
     fn poisoned_gang_respawns_on_next_claim() {
-        // Default policy (Lazy) on a factory pool: the panic poisons gang,
-        // the next job's claim rebuilds it, and capacity is back to full.
+        // On a factory pool the panic poisons a gang, the next job's claim
+        // rebuilds it, and capacity is back to full.
         let pool = partitioned(2, 1);
         assert_eq!(
             pool.run_job_on(&PanickingJob, 1).map(|_| ()),
@@ -2216,23 +1850,6 @@ mod tests {
             stats.threads_spawned, 3,
             "2 at construction + 1 for the respawned gang"
         );
-    }
-
-    #[test]
-    fn eager_respawn_restores_capacity_before_the_next_claim() {
-        let pool = WorkerPool::new_partitioned(
-            move |_| smq(1),
-            PoolConfig::partitioned(2, 1).with_respawn(RespawnPolicy::Eager),
-        );
-        assert_eq!(
-            pool.run_job_on(&PanickingJob, 1).map(|_| ()),
-            Err(JobError::Lost)
-        );
-        // No claim in between: the release of the poisoned claim rebuilt it.
-        assert_eq!(pool.live_gangs(), 2);
-        assert_eq!(pool.stats().gangs_respawned, 1);
-        let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
-        assert_eq!(out.metrics.threads, 2);
     }
 
     #[test]
@@ -2377,35 +1994,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_pool_runs_different_scheduler_types_per_gang() {
-        use smq_multiqueue::{MultiQueue, MultiQueueConfig};
-        // Gang 0: SMQ; gang 1: classic Multi-Queue — behind one pool.
-        let pool = WorkerPool::new_mixed(
-            |g| -> Box<dyn DynScheduler + Send + Sync> {
-                if g == 0 {
-                    Box::new(smq(1))
-                } else {
-                    Box::new(MultiQueue::<Task>::new(
-                        MultiQueueConfig::classic(1).with_seed(5),
-                    ))
-                }
-            },
-            PoolConfig::partitioned(2, 1).with_batch(4),
-        );
-        assert_eq!(pool.gangs(), 2);
-        for _ in 0..5 {
-            let job = FanoutJob::new(60, 60);
-            let out = pool.run_job(&job).unwrap();
-            assert_eq!(out.metrics.tasks_executed, 180);
-            assert_eq!(out.metrics.total.pushes, out.metrics.total.pops);
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.threads_spawned, 2);
-        assert_eq!(stats.handles_created, 2);
-        assert_eq!(stats.jobs_completed, 5);
-    }
-
-    #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
         let mut pool = WorkerPool::new(smq(2), PoolConfig::new(2));
         pool.run_job(&FanoutJob::new(10, 10)).unwrap();
@@ -2420,5 +2008,305 @@ mod tests {
         pool.run_job_on(&FanoutJob::new(10, 10), 2).unwrap();
         pool.shutdown();
         assert_eq!(pool.stats().jobs_completed, 1);
+    }
+
+    /// The worker loop driven through a transient single-job pool
+    /// ([`WorkerPool::with_borrowed`]), on a minimal strict scheduler so it
+    /// is tested independently of the real schedulers.
+    mod worker_loop {
+        use super::*;
+        use smq_runtime::SCAN_GATE;
+        use std::collections::BinaryHeap;
+        use std::sync::atomic::AtomicU64 as Counter;
+
+        /// A single global locked heap.
+        struct LockedHeap {
+            heap: Mutex<BinaryHeap<std::cmp::Reverse<Task>>>,
+            threads: usize,
+        }
+
+        impl LockedHeap {
+            fn new(threads: usize) -> Self {
+                Self {
+                    heap: Mutex::new(BinaryHeap::new()),
+                    threads,
+                }
+            }
+        }
+
+        struct LockedHeapHandle<'a> {
+            parent: &'a LockedHeap,
+            stats: OpStats,
+        }
+
+        impl Scheduler<Task> for LockedHeap {
+            type Handle<'a> = LockedHeapHandle<'a>;
+
+            fn num_threads(&self) -> usize {
+                self.threads
+            }
+
+            fn handle(&self, thread_id: usize) -> LockedHeapHandle<'_> {
+                assert!(thread_id < self.threads);
+                LockedHeapHandle {
+                    parent: self,
+                    stats: OpStats::default(),
+                }
+            }
+        }
+
+        impl SchedulerHandle<Task> for LockedHeapHandle<'_> {
+            fn push(&mut self, task: Task) {
+                self.parent
+                    .heap
+                    .lock()
+                    .unwrap()
+                    .push(std::cmp::Reverse(task));
+                self.stats.pushes += 1;
+            }
+
+            fn pop(&mut self) -> Option<Task> {
+                let got = self.parent.heap.lock().unwrap().pop().map(|r| r.0);
+                match got {
+                    Some(_) => self.stats.pops += 1,
+                    None => self.stats.empty_pops += 1,
+                }
+                got
+            }
+
+            fn stats(&self) -> OpStats {
+                self.stats.clone()
+            }
+        }
+
+        /// A job given by its seed keys and a per-task closure.
+        struct FnJob<F> {
+            seeds: Vec<u64>,
+            process: F,
+        }
+
+        impl<F> PoolJob for FnJob<F>
+        where
+            F: Fn(u64, &mut dyn FnMut(u64), &mut Scratch) + Sync,
+        {
+            fn seed_tasks(&self) -> Vec<Task> {
+                self.seeds.iter().map(|&key| Task::new(key, 0)).collect()
+            }
+
+            fn process(
+                &self,
+                task: Task,
+                push: &mut dyn FnMut(Task),
+                scratch: &mut Scratch,
+            ) -> bool {
+                (self.process)(task.key, &mut |key| push(Task::new(key, 0)), scratch);
+                true
+            }
+        }
+
+        /// Runs one job over `seeds` on a transient pool borrowing
+        /// `scheduler`.
+        fn run<F>(
+            scheduler: &LockedHeap,
+            config: PoolConfig,
+            seeds: Vec<u64>,
+            process: F,
+        ) -> RunMetrics
+        where
+            F: Fn(u64, &mut dyn FnMut(u64), &mut Scratch) + Sync,
+        {
+            let job = FnJob { seeds, process };
+            WorkerPool::with_borrowed(scheduler, config, |pool| pool.run_job(&job))
+                .expect("job completes")
+                .metrics
+        }
+
+        #[test]
+        fn processes_every_seed_task_once() {
+            let sched = LockedHeap::new(2);
+            let executed = Counter::new(0);
+            let metrics = run(
+                &sched,
+                PoolConfig::new(2),
+                (0..1_000).collect(),
+                |_task, _push, _scratch| {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            assert_eq!(executed.load(Ordering::Relaxed), 1_000);
+            assert_eq!(metrics.tasks_executed, 1_000);
+            assert_eq!(metrics.threads, 2);
+            assert_eq!(metrics.total.pops, 1_000);
+            assert_eq!(metrics.per_thread.len(), 2);
+        }
+
+        #[test]
+        fn follow_up_tasks_are_processed() {
+            // Each task < 1000 pushes task+1000 and task+2000; the run must
+            // process all 3000 tasks before terminating.
+            let sched = LockedHeap::new(3);
+            let executed = Counter::new(0);
+            let metrics = run(
+                &sched,
+                PoolConfig::new(3),
+                (0..1_000).collect(),
+                |task, push, _scratch| {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                    if task < 1_000 {
+                        push(task + 1_000);
+                        push(task + 2_000);
+                    }
+                },
+            );
+            assert_eq!(executed.load(Ordering::Relaxed), 3_000);
+            assert_eq!(metrics.tasks_executed, 3_000);
+        }
+
+        #[test]
+        fn empty_initial_set_terminates_immediately() {
+            let sched = LockedHeap::new(2);
+            let metrics = run(&sched, PoolConfig::new(2), Vec::new(), |_t, _p, _s| {});
+            assert_eq!(metrics.tasks_executed, 0);
+            assert!(metrics.quiescence_scans >= 2, "each worker scans to exit");
+        }
+
+        #[test]
+        fn single_thread_run_works() {
+            let sched = LockedHeap::new(1);
+            let sum = Counter::new(0);
+            let metrics = run(
+                &sched,
+                PoolConfig::new(1),
+                vec![5, 10, 15],
+                |task, _push, _scratch| {
+                    sum.fetch_add(task, Ordering::Relaxed);
+                },
+            );
+            assert_eq!(sum.load(Ordering::Relaxed), 30);
+            assert_eq!(metrics.tasks_executed, 3);
+        }
+
+        #[test]
+        #[should_panic(expected = "thread count")]
+        fn mismatched_thread_count_is_rejected() {
+            let sched = LockedHeap::new(2);
+            let _ = run(&sched, PoolConfig::new(3), vec![1], |_t, _p, _s| {});
+        }
+
+        #[test]
+        fn deep_task_chain_terminates() {
+            // A single chain of 10_000 dependent tasks exercises the case
+            // where most threads spin on an empty scheduler while one works.
+            let sched = LockedHeap::new(4);
+            let executed = Counter::new(0);
+            let metrics = run(
+                &sched,
+                PoolConfig::new(4),
+                vec![0],
+                |task, push, _scratch| {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                    if task < 10_000 {
+                        push(task + 1);
+                    }
+                },
+            );
+            assert_eq!(executed.load(Ordering::Relaxed), 10_001);
+            assert_eq!(metrics.tasks_executed, 10_001);
+        }
+
+        #[test]
+        fn scan_gate_bounds_scan_traffic() {
+            // Every quiescence scan must be "paid for" with at least
+            // `SCAN_GATE` empty pops, so scans * gate never exceeds total
+            // empty pops — the loop-level guarantee behind the epoch-gated
+            // scan.
+            let sched = LockedHeap::new(4);
+            let metrics = run(
+                &sched,
+                PoolConfig::new(4),
+                vec![0],
+                |task, push, _scratch| {
+                    if task < 5_000 {
+                        push(task + 1);
+                    }
+                },
+            );
+            assert!(
+                metrics.quiescence_scans * u64::from(SCAN_GATE) <= metrics.total.empty_pops,
+                "scans={} gate={} empty_pops={}",
+                metrics.quiescence_scans,
+                SCAN_GATE,
+                metrics.total.empty_pops
+            );
+            // Liveness: every worker still exits via at least one scan.
+            assert!(metrics.quiescence_scans >= 4);
+        }
+
+        #[test]
+        fn batched_loop_processes_every_task() {
+            // A scheduler with only the default (per-task) batch impls,
+            // driven at batch 8: conservation and termination must be
+            // unchanged.
+            let sched = LockedHeap::new(2);
+            let executed = Counter::new(0);
+            let metrics = run(
+                &sched,
+                PoolConfig::new(2).with_batch(8),
+                (0..1_000).collect(),
+                |task, push, _scratch| {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                    if task < 1_000 {
+                        push(task + 1_000);
+                        push(task + 2_000);
+                    }
+                },
+            );
+            assert_eq!(executed.load(Ordering::Relaxed), 3_000);
+            assert_eq!(metrics.tasks_executed, 3_000);
+            assert_eq!(metrics.total.pushes, metrics.total.pops);
+        }
+
+        #[test]
+        fn batched_deep_chain_terminates() {
+            // Fan-out 1: every sink flush carries a single task, the worst
+            // case for the batching sink's bookkeeping.
+            let sched = LockedHeap::new(4);
+            let metrics = run(
+                &sched,
+                PoolConfig::new(4).with_batch(32),
+                vec![0],
+                |task, push, _scratch| {
+                    if task < 10_000 {
+                        push(task + 1);
+                    }
+                },
+            );
+            assert_eq!(metrics.tasks_executed, 10_001);
+            assert_eq!(metrics.total.pushes, metrics.total.pops);
+        }
+
+        #[test]
+        fn with_batch_clamps_to_one() {
+            let config = PoolConfig::new(1).with_batch(0);
+            assert_eq!(config.worker.batch_size, 1);
+        }
+
+        #[test]
+        fn scratch_is_usable_from_the_processing_closure() {
+            let sched = LockedHeap::new(2);
+            let checked = Counter::new(0);
+            run(
+                &sched,
+                PoolConfig::new(2),
+                (1..=64).collect(),
+                |task, _push, scratch| {
+                    let buf = scratch.counting_u32(task as usize);
+                    assert!(buf.iter().all(|&c| c == 0), "scratch must be zeroed");
+                    buf[(task - 1) as usize] = 1;
+                    checked.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            assert_eq!(checked.load(Ordering::Relaxed), 64);
+        }
     }
 }

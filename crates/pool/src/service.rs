@@ -28,8 +28,8 @@
 //! [`JobError`] — **never a hang, never a client panic**:
 //!
 //! - [`JobError::Lost`] — the job (or the pool worker running it)
-//!   panicked.  The gang it poisoned is respawned by the pool per its
-//!   [`RespawnPolicy`](crate::RespawnPolicy); the service keeps serving.
+//!   panicked.  A pool built from a scheduler factory respawns the gang it
+//!   poisoned at the next claim; the service keeps serving.
 //! - [`JobError::DeadlineExceeded`] / [`JobError::BudgetExceeded`] — the
 //!   job tripped a [`JobPolicy`] limit and was cooperatively cancelled;
 //!   its gangs drained cleanly and went straight back into rotation.
@@ -42,12 +42,14 @@
 //! # Deadlines, budgets and retry
 //!
 //! [`submit_with`](JobService::submit_with) attaches a [`JobPolicy`] to a
-//! job.  A `timeout` becomes a hard deadline measured from **acceptance**
-//! (queue wait counts against it — an overloaded service sheds stale work
-//! without ever starting it); a `budget` caps processed tasks.  Both are
-//! enforced cooperatively by the pool workers via the ambient
-//! [`JobSpec`] the dispatcher installs around the
-//! closure, so every `run_job*` the closure performs inherits the limits.
+//! job; `submit` and `try_submit` enqueue through the same path under the
+//! default policy (no limits, no retry).  A `timeout` becomes a hard
+//! deadline measured from **acceptance** (queue wait counts against it —
+//! an overloaded service sheds stale work without ever starting it); a
+//! `budget` caps processed tasks.  Both are enforced cooperatively by the
+//! pool workers via the ambient [`JobSpec`] the dispatcher installs around
+//! the closure, so every `run_job*` the closure performs inherits the
+//! limits.
 //!
 //! A [`RetryPolicy`] re-runs the closure with exponential backoff when an
 //! attempt resolves to [`JobError::Lost`] — and **only** then.
@@ -166,12 +168,10 @@ pub struct RetryPolicy {
     /// Additional attempts after the first (0 = never retry, the
     /// default).
     pub max_retries: u32,
-    /// Sleep before the first retry; grows by `multiplier` per retry
-    /// (exponential backoff, letting a lazily-respawning pool rebuild the
-    /// gang the lost attempt poisoned).
+    /// Sleep before the first retry; doubles per retry (exponential
+    /// backoff, letting a lazily-respawning pool rebuild the gang the lost
+    /// attempt poisoned).
     pub initial_backoff: Duration,
-    /// Backoff growth factor per retry.
-    pub multiplier: u32,
 }
 
 impl Default for RetryPolicy {
@@ -179,10 +179,12 @@ impl Default for RetryPolicy {
         Self {
             max_retries: 0,
             initial_backoff: Duration::from_millis(1),
-            multiplier: 2,
         }
     }
 }
+
+/// Backoff growth factor per retry.
+const BACKOFF_MULTIPLIER: u32 = 2;
 
 /// A completed job's output plus its measured latencies.
 #[derive(Debug)]
@@ -443,7 +445,7 @@ impl JobService {
         R: Send + 'static,
     {
         let st = self.blocking_slot()?;
-        Ok(self.enqueue(st, job))
+        Ok(self.enqueue(st, JobPolicy::default(), run_once(job)))
     }
 
     /// Submits a job without blocking; fails with
@@ -461,7 +463,7 @@ impl JobService {
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QueueFull);
         }
-        Ok(self.enqueue(st, job))
+        Ok(self.enqueue(st, JobPolicy::default(), run_once(job)))
     }
 
     /// Submits a fallible job under a [`JobPolicy`] (deadline, budget,
@@ -480,7 +482,7 @@ impl JobService {
         R: Send + 'static,
     {
         let st = self.blocking_slot()?;
-        Ok(self.enqueue_with(st, policy, job))
+        Ok(self.enqueue(st, policy, job))
     }
 
     /// Blocks until the queue has a free slot (or the service closes).
@@ -501,63 +503,9 @@ impl JobService {
         }
     }
 
-    fn enqueue<F, R>(&self, mut st: MutexGuard<'_, QueueState>, job: F) -> JobTicket<R>
-    where
-        F: FnOnce(&WorkerPool) -> R + Send + 'static,
-        R: Send + 'static,
-    {
-        let shared = Arc::new(TicketShared::new());
-        let slot = Arc::clone(&shared);
-        let accepted_at = Instant::now();
-        st.jobs.push_back(Box::new(move |pool: &WorkerPool| {
-            // Bracket the job with the thread-local captures so the
-            // completion carries the metrics — and the failure the typed
-            // error — of the job this closure ran (never a stale capture
-            // from a previous job on this dispatcher).
-            crate::clear_last_job_output();
-            crate::clear_last_job_error();
-            let started = Instant::now();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(pool)));
-            let pool_error = crate::take_last_job_error();
-            match result {
-                Ok(output) => {
-                    resolve(
-                        &slot,
-                        Ok(JobCompletion {
-                            output,
-                            queue_wait: started.duration_since(accepted_at),
-                            service_time: started.elapsed(),
-                            metrics: crate::take_last_job_output(),
-                            attempts: 1,
-                        }),
-                    );
-                    JobOutcome {
-                        error: None,
-                        retries: 0,
-                    }
-                }
-                Err(_) => {
-                    // The closure unwound.  If its last pool job recorded
-                    // a typed error (a poisoned gang, a cancellation the
-                    // closure `unwrap`ped...), classify by it; a panic
-                    // with no pool involvement is a plain lost job.
-                    let error = pool_error.unwrap_or(JobError::Lost);
-                    resolve(&slot, Err(error));
-                    JobOutcome {
-                        error: Some(error),
-                        retries: 0,
-                    }
-                }
-            }
-        }));
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.not_empty.notify_one();
-        JobTicket {
-            shared: Some(shared),
-        }
-    }
-
-    fn enqueue_with<F, R>(
+    /// Queues `job` under `policy`: the one enqueue path behind every
+    /// submission.
+    fn enqueue<F, R>(
         &self,
         mut st: MutexGuard<'_, QueueState>,
         policy: JobPolicy,
@@ -587,6 +535,10 @@ impl JobService {
                     break Err(JobError::DeadlineExceeded);
                 }
                 attempts += 1;
+                // Bracket the attempt with the thread-local captures so the
+                // completion carries the metrics — and the failure the
+                // typed error — of the job this attempt ran (never a stale
+                // capture from a previous job on this dispatcher).
                 crate::clear_last_job_output();
                 crate::clear_last_job_error();
                 crate::set_current_job_spec(spec);
@@ -596,13 +548,17 @@ impl JobService {
                 let error = match result {
                     Ok(Ok(output)) => break Ok(output),
                     Ok(Err(error)) => error,
+                    // The closure unwound.  If its last pool job recorded a
+                    // typed error (a poisoned gang, a cancellation the
+                    // closure `unwrap`ped...), classify by it; a panic with
+                    // no pool involvement is a plain lost job.
                     Err(_) => pool_error.unwrap_or(JobError::Lost),
                 };
                 if error == JobError::Lost && attempts <= policy.retry.max_retries {
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
-                    backoff = backoff.saturating_mul(policy.retry.multiplier);
+                    backoff = backoff.saturating_mul(BACKOFF_MULTIPLIER);
                     continue;
                 }
                 break Err(error);
@@ -697,6 +653,21 @@ impl Drop for JobService {
     }
 }
 
+/// Adapts a plain `submit` job to the retryable `Fn` shape of
+/// `JobService::enqueue`.  The default policy never retries, so the
+/// closure is called exactly once and `job` runs exactly once.
+fn run_once<F, R>(job: F) -> impl Fn(&WorkerPool) -> Result<R, JobError> + Send + 'static
+where
+    F: FnOnce(&WorkerPool) -> R + Send + 'static,
+    R: Send + 'static,
+{
+    let job = std::cell::Cell::new(Some(job));
+    move |pool| {
+        let job = job.take().expect("a default-policy job runs only once");
+        Ok(job(pool))
+    }
+}
+
 fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
     loop {
         let job = {
@@ -713,7 +684,7 @@ fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
                 st = inner.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Queued closures contain their own panics (see `enqueue*`) and
+        // Queued closures contain their own panics (see `enqueue`) and
         // report a typed outcome; nothing can unwind out of `job` here.
         inner.in_flight.fetch_add(1, Ordering::Relaxed);
         let outcome = job(pool);
@@ -736,7 +707,7 @@ fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JobLost, PoolConfig, PoolJob, RespawnPolicy};
+    use crate::{PoolConfig, PoolJob};
     use smq_core::Task;
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
     use smq_runtime::Scratch;
@@ -904,7 +875,7 @@ mod tests {
             .expect("submit");
         assert_eq!(
             bad.wait().map(|c| c.output),
-            Err(JobLost),
+            Err(JobError::Lost),
             "lost job must resolve to Err"
         );
 
@@ -1161,12 +1132,13 @@ mod tests {
 
     #[test]
     fn dead_pool_resolves_tickets_with_no_capacity() {
-        // One gang, no respawn: after the panic the pool is permanently
-        // dead and every later job gets the typed NoCapacity outcome.
+        // One gang and no factory to respawn it: after the panic the pool
+        // is permanently dead and every later job gets the typed
+        // NoCapacity outcome.
         let service = JobService::new(
-            WorkerPool::new_partitioned(
-                |g| MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(5 + g as u64)),
-                PoolConfig::partitioned(1, 1).with_respawn(RespawnPolicy::Never),
+            WorkerPool::new(
+                MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(5)),
+                PoolConfig::new(1),
             ),
             ServiceConfig {
                 queue_capacity: 4,
@@ -1196,6 +1168,64 @@ mod tests {
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.no_capacity, 1);
         assert_eq!(counter.load(Ordering::Relaxed), 0, "nothing left to run it");
+    }
+
+    #[test]
+    fn submit_resolves_like_submit_with_under_the_default_policy() {
+        // `submit` is `submit_with(JobPolicy::default(), ..)` over a job
+        // that runs once.  Each case runs through both on a fresh service;
+        // both must resolve the ticket alike and bump the same counter.
+        fn succeeds(pool: &WorkerPool) -> u64 {
+            let job = CountJob {
+                seeds: 5,
+                counter: Arc::new(AtomicU64::new(0)),
+            };
+            pool.run_job(&job).expect("pool job").metrics.tasks_executed
+        }
+        fn closure_panics(_pool: &WorkerPool) -> u64 {
+            panic!("intentional closure panic")
+        }
+        fn pool_job_lost(pool: &WorkerPool) -> u64 {
+            pool.run_job(&BadJob).expect("fails by panicking");
+            0
+        }
+        /// Name, job, and the outcome both submissions must resolve to.
+        type Case = (&'static str, fn(&WorkerPool) -> u64, Result<u64, JobError>);
+        let cases: [Case; 3] = [
+            ("success", succeeds, Ok(5)),
+            ("closure panic", closure_panics, Err(JobError::Lost)),
+            ("lost pool job", pool_job_lost, Err(JobError::Lost)),
+        ];
+        for (name, job, expected) in cases {
+            let via_submit = {
+                let service = partitioned_service(1, 4);
+                let ticket = service.submit(job).expect("submit");
+                let outcome = ticket.wait().map(|done| (done.output, done.attempts));
+                (outcome, service.shutdown())
+            };
+            let via_submit_with = {
+                let service = partitioned_service(1, 4);
+                let ticket = service
+                    .submit_with(JobPolicy::default(), move |pool| Ok(job(pool)))
+                    .expect("submit_with");
+                let outcome = ticket.wait().map(|done| (done.output, done.attempts));
+                (outcome, service.shutdown())
+            };
+            assert_eq!(
+                via_submit.0.map(|(output, _)| output),
+                expected,
+                "{name}: submit outcome"
+            );
+            assert_eq!(via_submit.0, via_submit_with.0, "{name}: ticket outcomes");
+            assert_eq!(via_submit.1, via_submit_with.1, "{name}: service counters");
+            let stats = via_submit.1;
+            let bumped = if expected.is_ok() {
+                stats.completed
+            } else {
+                stats.failed
+            };
+            assert_eq!((stats.submitted, bumped), (1, 1), "{name}: {stats:?}");
+        }
     }
 
     #[test]

@@ -12,119 +12,45 @@
 //! whenever a thread observes an empty pop) — without any shared `SeqCst`
 //! counter on the per-task hot path.
 //!
-//! The per-worker loop body lives in [`worker_loop`], shared between two
-//! drivers: [`run`] (spawn a scoped fleet, run one workload, join — the
-//! original one-shot mode) and the resident `smq-pool` worker pool, whose
-//! workers park between jobs and re-enter the same loop for every job —
-//! each pool *gang* passes its own scheduler handle, detector, and abort
-//! flag, so concurrent gangs share nothing on this path.
+//! The loop body is [`worker_loop`].  Its one driver is the resident
+//! `smq-pool` worker pool: pool workers park between jobs and re-enter the
+//! loop for every job, each gang passing its own scheduler handle,
+//! detector, and abort flag, so concurrent gangs share nothing on this
+//! path.  One-shot runs are single-job pools
+//! (`smq_pool::WorkerPool::with_borrowed`).
 //! The quiescence scan is *epoch-gated*: a worker only pays the O(threads)
-//! counter scan after [`WorkerLoopConfig::scan_gate`] consecutive empty pops
-//! during which the detector's activity epoch did not move (see
-//! [`crate::termination`] for the liveness argument).
+//! counter scan after [`SCAN_GATE`] consecutive empty pops during which the
+//! detector's activity epoch did not move (see [`crate::termination`] for
+//! the liveness argument).
 //!
 //! The loop is *batch-granular* ([`WorkerLoopConfig::batch_size`]): above
 //! batch size 1 it pops up to a batch of tasks per `pop_batch` call and
 //! buffers follow-ups in a per-worker sink flushed via `push_batch` at task
 //! boundaries, so the scheduler's per-operation synchronization (locks,
-//! buffer publishes, virtual dispatch on the erased pool path) is paid once
-//! per batch instead of once per task.  Batch size 1 is bit-identical to
-//! the historical per-task path.
-
-use std::time::Instant;
+//! buffer publishes) is paid once per batch instead of once per task.
+//! Batch size 1 is bit-identical to the historical per-task path.
 
 use crossbeam_utils::Backoff;
-use smq_core::{HasKey, OpStats, Scheduler, SchedulerHandle};
+use smq_core::{HasKey, SchedulerHandle};
 use smq_telemetry::{Phase, WorkerTelemetry};
 
-use crate::metrics::RunMetrics;
 use crate::scratch::Scratch;
 use crate::termination::{TerminationDetector, WorkerTally};
-use crate::topology::Topology;
 
-/// Executor tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ExecutorConfig {
-    /// Number of worker threads to spawn.  Must match the scheduler's
-    /// configured thread count.
-    pub threads: usize,
-    /// The per-worker loop knobs (shared with the resident worker pool, so
-    /// the defaults and their meaning live in exactly one place).
-    pub worker: WorkerLoopConfig,
-    /// Optional (simulated) NUMA topology.  When set it must cover exactly
-    /// `threads` workers; each worker's [`WorkerId`] then carries the node
-    /// the topology places it on (reflected in its OS thread name).  Does
-    /// not change scheduling by itself — pair it with a NUMA-configured
-    /// scheduler.
-    pub topology: Option<Topology>,
-}
+/// How many consecutive empty pops a worker tolerates before it starts
+/// yielding to the OS scheduler (important on machines with fewer hardware
+/// threads than workers).
+const SPINS_BEFORE_YIELD: u32 = 64;
 
-impl ExecutorConfig {
-    /// A configuration with `threads` workers and default backoff/gating.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            worker: WorkerLoopConfig::default(),
-            topology: None,
-        }
-    }
-
-    /// Sets the hot-path batch granularity (see
-    /// [`WorkerLoopConfig::batch_size`]).
-    pub fn with_batch(mut self, batch_size: usize) -> Self {
-        self.worker.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Attaches a (simulated) NUMA topology; worker identities pick up
-    /// their node from it (see [`ExecutorConfig::topology`]).
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        assert_eq!(
-            topology.num_threads(),
-            self.threads,
-            "topology must cover exactly the executor's worker threads"
-        );
-        self.topology = Some(topology);
-        self
-    }
-}
-
-/// The identity one executor/pool worker runs under: its dense thread index
-/// and the NUMA node the configured topology places it on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerId {
-    /// Dense worker index in `0..threads` — the id scheduler handles are
-    /// created with.
-    pub tid: usize,
-    /// NUMA node hosting this worker (0 without a topology).
-    pub node: usize,
-}
-
-impl WorkerId {
-    /// Resolves `tid`'s node through an optional topology.
-    pub fn new(tid: usize, topology: Option<&Topology>) -> Self {
-        let node = topology.map_or(0, |t| t.node_of_thread(tid));
-        Self { tid, node }
-    }
-
-    /// The OS thread name this worker is spawned under
-    /// (`<prefix>-n<node>-<tid>`), so thread dumps show placement.
-    pub fn thread_name(&self, prefix: &str) -> String {
-        format!("{prefix}-n{}-{}", self.node, self.tid)
-    }
-}
+/// How many consecutive empty pops (with a stable activity epoch) a worker
+/// accumulates before paying for one O(threads) quiescence scan.  Every
+/// scan is paid for by at least this many empty pops, so
+/// `quiescence_scans * SCAN_GATE <= empty_pops` holds for every run.
+pub const SCAN_GATE: u32 = 8;
 
 /// The per-worker knobs of [`worker_loop`].
 #[derive(Debug, Clone)]
 pub struct WorkerLoopConfig {
-    /// How many consecutive empty pops a thread tolerates before it starts
-    /// yielding to the OS scheduler (important on machines with fewer
-    /// hardware threads than workers).
-    pub spins_before_yield: u32,
-    /// How many consecutive empty pops (with a stable activity epoch) a
-    /// worker accumulates before paying for one O(threads) quiescence scan
-    /// (clamped to at least 1 by the loop).
-    pub scan_gate: u32,
     /// Batch granularity of the hot path (clamped to at least 1).
     ///
     /// With `batch_size == 1` (the default) the loop is the exact
@@ -141,11 +67,7 @@ pub struct WorkerLoopConfig {
 
 impl Default for WorkerLoopConfig {
     fn default() -> Self {
-        Self {
-            spins_before_yield: 64,
-            scan_gate: 8,
-            batch_size: 1,
-        }
+        Self { batch_size: 1 }
     }
 }
 
@@ -164,8 +86,8 @@ pub struct WorkerLoopOutcome {
 
 /// External control signals a [`worker_loop`] run observes.
 ///
-/// Both flags are optional; `LoopControl::default()` (no flags) is the
-/// one-shot executor's mode.  The resident worker pool wires them per job:
+/// Both flags are optional (`LoopControl::default()` observes neither).
+/// The resident worker pool wires them per job:
 ///
 /// * `abort` — the *poison* escape: set when a sibling worker died mid-job.
 ///   A dead worker's thread-local queues can strand published tasks, so
@@ -250,8 +172,8 @@ fn flush_sink<T, H: SchedulerHandle<T>>(
     handle.push_batch(buffer);
 }
 
-/// One worker's pop/process/quiesce loop, shared by the one-shot executor
-/// and the resident worker pool.
+/// One worker's pop/process/quiesce loop, entered by every resident pool
+/// worker once per job.
 ///
 /// The caller must have pushed (and pre-credited, via
 /// [`TerminationDetector::preload`]) its seed tasks before entering the
@@ -262,6 +184,15 @@ fn flush_sink<T, H: SchedulerHandle<T>>(
 /// `control.cancel` becomes `true` instead, the worker drains to
 /// quiescence while *discarding* every remaining task, so a cancelled
 /// job's gang ends with an empty scheduler and stays reusable.
+///
+/// When `telemetry` is `Some`, worker-loop time is tagged into coarse
+/// [`Phase`]s and every Nth successful pop is sampled for rank error
+/// against the scheduler's advisory global-min estimate
+/// ([`SchedulerHandle::min_key_hint`]).  When it is `None` the loop takes
+/// no timestamps and makes no extra scheduler calls, which is how the
+/// disabled configuration keeps single-thread `OpStats` bit-identical to
+/// the uninstrumented path.
+#[allow(clippy::too_many_arguments)]
 pub fn worker_loop<T, H, F>(
     handle: &mut H,
     detector: &TerminationDetector,
@@ -269,84 +200,14 @@ pub fn worker_loop<T, H, F>(
     scratch: &mut Scratch,
     config: &WorkerLoopConfig,
     control: LoopControl<'_>,
-    process: F,
-) -> WorkerLoopOutcome
-where
-    T: Send + 'static,
-    H: SchedulerHandle<T>,
-    F: for<'h, 'd> FnMut(T, &mut TaskSink<'h, 'd, H, T>, &mut Scratch),
-{
-    worker_loop_impl(
-        handle,
-        detector,
-        tally,
-        scratch,
-        config,
-        control,
-        None,
-        |_: &T| 0,
-        process,
-    )
-}
-
-/// [`worker_loop`] with optional telemetry: when `telemetry` is `Some`,
-/// worker-loop time is tagged into coarse [`Phase`]s and every Nth
-/// successful pop is sampled for rank error against the scheduler's
-/// advisory global-min estimate ([`SchedulerHandle::min_key_hint`]).
-///
-/// When `telemetry` is `None` this *is* [`worker_loop`] — the same code
-/// path, no timestamps, no extra scheduler calls — which is how the
-/// disabled configuration keeps single-thread `OpStats` bit-identical to
-/// the uninstrumented loop.  Requires `T: HasKey` so sampled pops can
-/// report their key.
-#[allow(clippy::too_many_arguments)]
-pub fn worker_loop_instrumented<T, H, F>(
-    handle: &mut H,
-    detector: &TerminationDetector,
-    tally: &mut WorkerTally<'_>,
-    scratch: &mut Scratch,
-    config: &WorkerLoopConfig,
-    control: LoopControl<'_>,
-    telemetry: Option<&mut WorkerTelemetry>,
-    process: F,
+    mut telemetry: Option<&mut WorkerTelemetry>,
+    mut process: F,
 ) -> WorkerLoopOutcome
 where
     T: Send + HasKey + 'static,
     H: SchedulerHandle<T>,
     F: for<'h, 'd> FnMut(T, &mut TaskSink<'h, 'd, H, T>, &mut Scratch),
 {
-    worker_loop_impl(
-        handle,
-        detector,
-        tally,
-        scratch,
-        config,
-        control,
-        telemetry,
-        T::key,
-        process,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop_impl<T, H, F, K>(
-    handle: &mut H,
-    detector: &TerminationDetector,
-    tally: &mut WorkerTally<'_>,
-    scratch: &mut Scratch,
-    config: &WorkerLoopConfig,
-    control: LoopControl<'_>,
-    mut telemetry: Option<&mut WorkerTelemetry>,
-    key_of: K,
-    mut process: F,
-) -> WorkerLoopOutcome
-where
-    T: Send + 'static,
-    H: SchedulerHandle<T>,
-    F: for<'h, 'd> FnMut(T, &mut TaskSink<'h, 'd, H, T>, &mut Scratch),
-    K: Fn(&T) -> u64,
-{
-    let scan_gate = config.scan_gate.max(1);
     let batch = config.batch_size.max(1);
     let mut outcome = WorkerLoopOutcome::default();
     let backoff = Backoff::new();
@@ -403,7 +264,7 @@ where
                 // difference bounds how far the relaxed pop strayed from
                 // the true minimum.
                 if t.probe_due() {
-                    t.record_rank_error(key_of(&pop_buf[0]), handle.min_key_hint());
+                    t.record_rank_error(pop_buf[0].key(), handle.min_key_hint());
                 }
                 t.phase(Phase::Process);
             }
@@ -502,11 +363,11 @@ where
             } else {
                 empty_streak += 1;
             }
-            if empty_streak >= scan_gate {
+            if empty_streak >= SCAN_GATE {
                 if let Some(t) = telemetry.as_deref_mut() {
                     t.phase(Phase::Scan);
                 }
-                // Looked stable for `scan_gate` empty pops: pay for one
+                // Looked stable for `SCAN_GATE` empty pops: pay for one
                 // O(threads) scan, then require a fresh streak before
                 // the next one.
                 empty_streak = 0;
@@ -518,7 +379,7 @@ where
             if let Some(t) = telemetry.as_deref_mut() {
                 t.phase(Phase::Park);
             }
-            if idle_spins > config.spins_before_yield {
+            if idle_spins > SPINS_BEFORE_YIELD {
                 std::thread::yield_now();
             } else {
                 backoff.snooze();
@@ -528,360 +389,4 @@ where
     scratch.put_vec(pop_buf);
     scratch.put_vec(sink_buf);
     outcome
-}
-
-/// Runs `process` over every task reachable from `initial` using the given
-/// scheduler and `config.threads` worker threads.
-///
-/// `process(task, sink, scratch)` executes one task, pushing follow-up
-/// tasks into the [`TaskSink`]; `scratch` is this worker's reusable
-/// [`Scratch`] memory.  The function returns once every pushed task has
-/// been processed and all threads have observed a globally empty scheduler.
-///
-/// Initial tasks are distributed round-robin across the workers and pushed
-/// through each worker's own handle, which matters for schedulers with
-/// thread-local queues (SMQ) or insert buffers.
-pub fn run<S, T, F>(
-    scheduler: &S,
-    config: &ExecutorConfig,
-    initial: Vec<T>,
-    process: F,
-) -> RunMetrics
-where
-    S: Scheduler<T>,
-    T: Send + 'static,
-    F: for<'h, 'd> Fn(T, &mut TaskSink<'h, 'd, S::Handle<'_>, T>, &mut Scratch) + Sync,
-{
-    let threads = config.threads;
-    assert!(threads >= 1, "need at least one worker thread");
-    assert_eq!(
-        threads,
-        scheduler.num_threads(),
-        "executor thread count must match the scheduler's configuration"
-    );
-
-    // Split the seed tasks round-robin so each worker seeds its own queues.
-    let mut seeds: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, task) in initial.into_iter().enumerate() {
-        seeds[i % threads].push(task);
-    }
-
-    // Credit every worker's seed slice before any thread starts, so no scan
-    // can observe an all-zero (quiescent-looking) state during seeding.
-    let detector = TerminationDetector::new(threads);
-    for (tid, seed) in seeds.iter().enumerate() {
-        detector.preload(tid, seed.len() as u64);
-    }
-
-    let loop_config = config.worker.clone();
-    let start = Instant::now();
-    let results: Vec<(WorkerLoopOutcome, OpStats)> = std::thread::scope(|scope| {
-        let mut join_handles = Vec::with_capacity(threads);
-        for (tid, seed) in seeds.into_iter().enumerate() {
-            let detector = &detector;
-            let process = &process;
-            let loop_config = &loop_config;
-            let worker_id = WorkerId::new(tid, config.topology.as_ref());
-            let spawned = std::thread::Builder::new()
-                .name(worker_id.thread_name("smq-worker"))
-                .spawn_scoped(scope, move || {
-                    let mut handle = scheduler.handle(tid);
-                    let mut tally = detector.tally(tid);
-                    let mut scratch = Scratch::new();
-                    // Seeds were pre-credited; pushing them needs no recording.
-                    // Same rule as the pool's worker: one batch call above
-                    // batch size 1, the exact per-task path at 1.
-                    if loop_config.batch_size > 1 {
-                        let mut seed = seed;
-                        handle.push_batch(&mut seed);
-                    } else {
-                        for task in seed {
-                            handle.push(task);
-                        }
-                    }
-                    // Make seed tasks visible before anyone starts spinning.
-                    handle.flush();
-                    let outcome = worker_loop(
-                        &mut handle,
-                        detector,
-                        &mut tally,
-                        &mut scratch,
-                        loop_config,
-                        LoopControl::default(),
-                        |task, sink, scratch| process(task, sink, scratch),
-                    );
-                    (outcome, handle.stats())
-                });
-            join_handles.push(spawned.expect("failed to spawn executor worker"));
-        }
-        join_handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let elapsed = start.elapsed();
-
-    let per_thread: Vec<OpStats> = results.iter().map(|(_, s)| s.clone()).collect();
-    let total = OpStats::merged(per_thread.iter());
-    RunMetrics {
-        elapsed,
-        threads,
-        tasks_executed: results.iter().map(|(o, _)| o.executed).sum(),
-        quiescence_scans: results.iter().map(|(o, _)| o.scans).sum(),
-        per_thread,
-        total,
-        telemetry: None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BinaryHeap;
-    use std::sync::atomic::{AtomicU64 as Counter, Ordering};
-    use std::sync::Mutex;
-
-    /// A minimal strict scheduler (single global locked heap) used to test
-    /// the executor independently of the real schedulers.
-    struct LockedHeap {
-        heap: Mutex<BinaryHeap<std::cmp::Reverse<u64>>>,
-        threads: usize,
-    }
-
-    impl LockedHeap {
-        fn new(threads: usize) -> Self {
-            Self {
-                heap: Mutex::new(BinaryHeap::new()),
-                threads,
-            }
-        }
-    }
-
-    struct LockedHeapHandle<'a> {
-        parent: &'a LockedHeap,
-        stats: OpStats,
-    }
-
-    impl Scheduler<u64> for LockedHeap {
-        type Handle<'a> = LockedHeapHandle<'a>;
-
-        fn num_threads(&self) -> usize {
-            self.threads
-        }
-
-        fn handle(&self, thread_id: usize) -> LockedHeapHandle<'_> {
-            assert!(thread_id < self.threads);
-            LockedHeapHandle {
-                parent: self,
-                stats: OpStats::default(),
-            }
-        }
-    }
-
-    impl SchedulerHandle<u64> for LockedHeapHandle<'_> {
-        fn push(&mut self, task: u64) {
-            self.parent
-                .heap
-                .lock()
-                .unwrap()
-                .push(std::cmp::Reverse(task));
-            self.stats.pushes += 1;
-        }
-
-        fn pop(&mut self) -> Option<u64> {
-            let got = self.parent.heap.lock().unwrap().pop().map(|r| r.0);
-            match got {
-                Some(_) => self.stats.pops += 1,
-                None => self.stats.empty_pops += 1,
-            }
-            got
-        }
-
-        fn stats(&self) -> OpStats {
-            self.stats.clone()
-        }
-    }
-
-    #[test]
-    fn processes_every_seed_task_once() {
-        let sched = LockedHeap::new(2);
-        let executed = Counter::new(0);
-        let metrics = run(
-            &sched,
-            &ExecutorConfig::new(2),
-            (0..1_000u64).collect(),
-            |_task, _sink, _scratch| {
-                executed.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(executed.load(Ordering::Relaxed), 1_000);
-        assert_eq!(metrics.tasks_executed, 1_000);
-        assert_eq!(metrics.threads, 2);
-        assert_eq!(metrics.total.pops, 1_000);
-        assert_eq!(metrics.per_thread.len(), 2);
-    }
-
-    #[test]
-    fn follow_up_tasks_are_processed() {
-        // Each task < 1000 pushes task+1000 and task+2000; the run must
-        // process all 3000 tasks before terminating.
-        let sched = LockedHeap::new(3);
-        let executed = Counter::new(0);
-        let metrics = run(
-            &sched,
-            &ExecutorConfig::new(3),
-            (0..1_000u64).collect(),
-            |task, sink, _scratch| {
-                executed.fetch_add(1, Ordering::Relaxed);
-                if task < 1_000 {
-                    sink.push(task + 1_000);
-                    sink.push(task + 2_000);
-                }
-            },
-        );
-        assert_eq!(executed.load(Ordering::Relaxed), 3_000);
-        assert_eq!(metrics.tasks_executed, 3_000);
-    }
-
-    #[test]
-    fn empty_initial_set_terminates_immediately() {
-        let sched = LockedHeap::new(2);
-        let metrics = run(&sched, &ExecutorConfig::new(2), Vec::new(), |_t, _s, _c| {});
-        assert_eq!(metrics.tasks_executed, 0);
-        assert!(metrics.quiescence_scans >= 2, "each worker scans to exit");
-    }
-
-    #[test]
-    fn single_thread_run_works() {
-        let sched = LockedHeap::new(1);
-        let sum = Counter::new(0);
-        let metrics = run(
-            &sched,
-            &ExecutorConfig::new(1),
-            vec![5u64, 10, 15],
-            |task, _sink, _scratch| {
-                sum.fetch_add(task, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(sum.load(Ordering::Relaxed), 30);
-        assert_eq!(metrics.tasks_executed, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count")]
-    fn mismatched_thread_count_is_rejected() {
-        let sched = LockedHeap::new(2);
-        let _ = run(&sched, &ExecutorConfig::new(3), vec![1u64], |_t, _s, _c| {});
-    }
-
-    #[test]
-    fn deep_task_chain_terminates() {
-        // A single chain of 10_000 dependent tasks exercises the case where
-        // most threads spin on an empty scheduler while one works.
-        let sched = LockedHeap::new(4);
-        let executed = Counter::new(0);
-        let metrics = run(
-            &sched,
-            &ExecutorConfig::new(4),
-            vec![0u64],
-            |task, sink, _scratch| {
-                executed.fetch_add(1, Ordering::Relaxed);
-                if task < 10_000 {
-                    sink.push(task + 1);
-                }
-            },
-        );
-        assert_eq!(executed.load(Ordering::Relaxed), 10_001);
-        assert_eq!(metrics.tasks_executed, 10_001);
-    }
-
-    #[test]
-    fn scan_gate_bounds_scan_traffic() {
-        // Every quiescence scan must be "paid for" with at least `scan_gate`
-        // empty pops, so scans * gate never exceeds total empty pops — the
-        // executor-level guarantee behind the epoch-gated scan.
-        let config = ExecutorConfig::new(4);
-        let sched = LockedHeap::new(4);
-        let metrics = run(&sched, &config, vec![0u64], |task, sink, _scratch| {
-            if task < 5_000 {
-                sink.push(task + 1);
-            }
-        });
-        assert!(
-            metrics.quiescence_scans * u64::from(config.worker.scan_gate)
-                <= metrics.total.empty_pops,
-            "scans={} gate={} empty_pops={}",
-            metrics.quiescence_scans,
-            config.worker.scan_gate,
-            metrics.total.empty_pops
-        );
-        // Liveness: every worker still exits via at least one scan.
-        assert!(metrics.quiescence_scans >= 4);
-    }
-
-    #[test]
-    fn batched_loop_processes_every_task() {
-        // A scheduler with only the default (per-task) batch impls, driven
-        // at batch 8: conservation and termination must be unchanged.
-        let sched = LockedHeap::new(2);
-        let executed = Counter::new(0);
-        let metrics = run(
-            &sched,
-            &ExecutorConfig::new(2).with_batch(8),
-            (0..1_000u64).collect(),
-            |task, sink, _scratch| {
-                executed.fetch_add(1, Ordering::Relaxed);
-                if task < 1_000 {
-                    sink.push(task + 1_000);
-                    sink.push(task + 2_000);
-                }
-            },
-        );
-        assert_eq!(executed.load(Ordering::Relaxed), 3_000);
-        assert_eq!(metrics.tasks_executed, 3_000);
-        assert_eq!(metrics.total.pushes, metrics.total.pops);
-    }
-
-    #[test]
-    fn batched_deep_chain_terminates() {
-        // Fan-out 1: every sink flush carries a single task, the worst case
-        // for the batching sink's bookkeeping.
-        let sched = LockedHeap::new(4);
-        let metrics = run(
-            &sched,
-            &ExecutorConfig::new(4).with_batch(32),
-            vec![0u64],
-            |task, sink, _scratch| {
-                if task < 10_000 {
-                    sink.push(task + 1);
-                }
-            },
-        );
-        assert_eq!(metrics.tasks_executed, 10_001);
-        assert_eq!(metrics.total.pushes, metrics.total.pops);
-    }
-
-    #[test]
-    fn with_batch_clamps_to_one() {
-        let config = ExecutorConfig::new(1).with_batch(0);
-        assert_eq!(config.worker.batch_size, 1);
-    }
-
-    #[test]
-    fn scratch_is_usable_from_the_processing_closure() {
-        let sched = LockedHeap::new(2);
-        let checked = Counter::new(0);
-        run(
-            &sched,
-            &ExecutorConfig::new(2),
-            (1..=64u64).collect(),
-            |task, _sink, scratch| {
-                let buf = scratch.counting_u32(task as usize);
-                assert!(buf.iter().all(|&c| c == 0), "scratch must be zeroed");
-                buf[(task - 1) as usize] = 1;
-                checked.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(checked.load(Ordering::Relaxed), 64);
-    }
 }

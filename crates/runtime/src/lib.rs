@@ -3,14 +3,15 @@
 //! The paper evaluates schedulers by plugging them into the Galois
 //! `for_each` loop: worker threads repeatedly pop a task, execute it
 //! (possibly pushing new tasks), and terminate when the scheduler is
-//! globally empty.  This crate provides that loop ([`executor::run`]), the
-//! pending-task termination detection it relies on, per-run metrics, a
-//! per-worker [`Scratch`] arena, and a *simulated* NUMA topology
-//! ([`topology::Topology`]) used by the NUMA-aware queue samplers.
+//! globally empty.  This crate provides that loop's per-worker body
+//! ([`executor::worker_loop`]), the pending-task termination detection it
+//! relies on, per-run metrics, a per-worker [`Scratch`] arena, and a
+//! *simulated* NUMA topology ([`topology::Topology`]) used by the
+//! NUMA-aware queue samplers.
 //!
-//! The per-worker loop body ([`executor::worker_loop`]) is shared with the
-//! resident worker pool in `smq-pool`, whose workers park between jobs and
-//! re-enter the loop for every job under a fresh termination generation.
+//! The threads that run the loop belong to the resident worker pool in
+//! `smq-pool`, whose workers park between jobs and re-enter the loop for
+//! every job under a fresh termination generation.
 //!
 //! The topology is simulated because the reproduction targets commodity
 //! machines without multiple sockets: NUMA-awareness in the paper is purely
@@ -27,9 +28,7 @@ pub mod scratch;
 pub mod termination;
 pub mod topology;
 
-pub use executor::{
-    run, ExecutorConfig, LoopControl, TaskSink, WorkerId, WorkerLoopConfig, WorkerLoopOutcome,
-};
+pub use executor::{LoopControl, TaskSink, WorkerLoopConfig, WorkerLoopOutcome, SCAN_GATE};
 pub use metrics::RunMetrics;
 pub use scratch::Scratch;
 pub use termination::{TerminationDetector, WorkerTally};

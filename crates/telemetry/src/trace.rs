@@ -4,7 +4,7 @@
 //! The output is the Trace Event Format's JSON-object form
 //! (`{"traceEvents": [...]}`), loadable in `chrome://tracing` and Perfetto.
 //! Each lane carries a thread-name metadata event so the UI labels rows
-//! with the worker's OS thread name (`smq-pool-n0-g0-w1`-style).
+//! with the worker's OS thread name (`smq-pool-0-1`-style).
 
 use std::io::Write as _;
 use std::path::Path;

@@ -207,7 +207,7 @@ fn ns_since(origin: Instant, t: Instant) -> u64 {
 /// One worker's timeline for the chrome-trace export.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceLane {
-    /// Lane label — the worker's OS thread name (`smq-pool-n0-g0-w1`-style).
+    /// Lane label — the worker's OS thread name (`smq-pool-0-1`-style).
     pub name: String,
     /// Events overwritten because the worker's ring was full.
     pub dropped: u64,

@@ -1,13 +1,47 @@
-//! Integration stress tests for the executor + scheduler combination:
-//! termination detection and task conservation under irregular task graphs.
+//! Integration stress tests for the worker loop + scheduler combination,
+//! each run as one job on a transient pool: termination detection and task
+//! conservation under irregular task graphs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_repro::core::{Probability, Task};
+use smq_repro::core::{Probability, Scheduler, Task};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_repro::obim::{Obim, ObimConfig};
-use smq_repro::runtime::{run, ExecutorConfig};
+use smq_repro::pool::{PoolConfig, PoolJob, WorkerPool};
+use smq_repro::runtime::{RunMetrics, Scratch, SCAN_GATE};
 use smq_repro::smq::{HeapSmq, SmqConfig};
+
+/// A job given by its seed tasks and a per-task closure.
+struct FnJob<F> {
+    seeds: Vec<Task>,
+    process: F,
+}
+
+impl<F> PoolJob for FnJob<F>
+where
+    F: Fn(Task, &mut dyn FnMut(Task)) + Sync,
+{
+    fn seed_tasks(&self) -> Vec<Task> {
+        self.seeds.clone()
+    }
+
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+        (self.process)(task, push);
+        true
+    }
+}
+
+/// Runs one job over `seeds` on a transient pool borrowing `scheduler`.
+fn run<S, F>(scheduler: &S, config: PoolConfig, seeds: Vec<Task>, process: F) -> RunMetrics
+where
+    S: Scheduler<Task>,
+    F: Fn(Task, &mut dyn FnMut(Task)) + Sync,
+{
+    let job = FnJob { seeds, process };
+    WorkerPool::with_borrowed(scheduler, config, |pool| pool.run_job(&job))
+        .expect("job completes")
+        .metrics
+}
 
 /// A synthetic irregular workload: every task of "depth" d < MAX_DEPTH
 /// spawns a pseudo-random number of children (0..=2), so the task graph's
@@ -36,31 +70,31 @@ fn children_of(id: u64, depth: u64) -> u64 {
         % 3
 }
 
-fn run_irregular<S: smq_repro::core::Scheduler<Task>>(scheduler: &S, threads: usize) -> u64 {
+fn run_irregular<S: Scheduler<Task>>(scheduler: &S, threads: usize) -> u64 {
     const SEEDS: u64 = 500;
     const MAX_DEPTH: u64 = 12;
     let executed = AtomicU64::new(0);
     let metrics = run(
         scheduler,
-        &ExecutorConfig::new(threads),
+        PoolConfig::new(threads),
         (0..SEEDS).map(|i| Task::new(0, i)).collect(),
-        |task, sink, _scratch| {
+        |task, push| {
             executed.fetch_add(1, Ordering::Relaxed);
             let depth = task.key;
             let id = task.value;
             if depth < MAX_DEPTH {
                 for c in 0..children_of(id, depth) {
                     let child_id = id.wrapping_mul(31).wrapping_add(c);
-                    sink.push(Task::new(depth + 1, child_id));
+                    push(Task::new(depth + 1, child_id));
                 }
             }
         },
     );
     assert_eq!(metrics.tasks_executed, executed.load(Ordering::Relaxed));
-    // The epoch-gated quiescence scan: every scan costs at least `scan_gate`
+    // The epoch-gated quiescence scan: every scan costs at least `SCAN_GATE`
     // empty pops, so the scan count is bounded by empty_pops / gate — before
     // the gate, every empty pop ran a scan (scans == empty_pops).
-    let gate = u64::from(ExecutorConfig::new(threads).worker.scan_gate);
+    let gate = u64::from(SCAN_GATE);
     assert!(
         metrics.quiescence_scans * gate <= metrics.total.empty_pops,
         "scan traffic not gated: {} scans, {} empty pops, gate {}",
@@ -147,25 +181,25 @@ fn stress_tasks_per_seed(max_depth: u64) -> u64 {
 /// termination counters neither lose tasks (a slot left at 0 — the run
 /// exited while work was outstanding) nor double-count them (a slot above 1
 /// — a task was processed twice).
-fn run_unique_id_stress<S: smq_repro::core::Scheduler<Task>>(scheduler: &S, threads: usize) {
+fn run_unique_id_stress<S: Scheduler<Task>>(scheduler: &S, threads: usize) {
     const SEEDS: u64 = 64;
     const MAX_DEPTH: u64 = 12;
     let total = SEEDS * stress_tasks_per_seed(MAX_DEPTH);
     let next_id = AtomicU64::new(SEEDS);
     let executions: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
 
-    let metrics = smq_repro::runtime::run(
+    let metrics = run(
         scheduler,
-        &smq_repro::runtime::ExecutorConfig::new(threads),
+        PoolConfig::new(threads),
         (0..SEEDS).map(|i| Task::new(0, i)).collect(),
-        |task, sink, _scratch| {
+        |task, push| {
             let depth = task.key;
             let id = task.value;
             executions[id as usize].fetch_add(1, Ordering::Relaxed);
             if depth < MAX_DEPTH {
                 for _ in 0..stress_fanout(depth) {
                     let child = next_id.fetch_add(1, Ordering::Relaxed);
-                    sink.push(Task::new(depth + 1, child));
+                    push(Task::new(depth + 1, child));
                 }
             }
         },
@@ -224,19 +258,18 @@ fn epoch_gated_scan_cuts_scan_traffic_on_idle_heavy_runs() {
     // that by at least the gate factor.
     let threads = 8;
     let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(threads).with_seed(41));
-    let config = ExecutorConfig::new(threads);
     let metrics = run(
         &smq,
-        &config,
+        PoolConfig::new(threads),
         vec![Task::new(0, 0)],
-        |task, sink, _scratch| {
+        |task, push| {
             if task.key < 20_000 {
-                sink.push(Task::new(task.key + 1, task.value));
+                push(Task::new(task.key + 1, task.value));
             }
         },
     );
     assert_eq!(metrics.tasks_executed, 20_001);
-    let gate = u64::from(config.worker.scan_gate);
+    let gate = u64::from(SCAN_GATE);
     assert!(
         metrics.quiescence_scans * gate <= metrics.total.empty_pops,
         "idle-heavy run not gated: {} scans for {} empty pops",
@@ -249,7 +282,7 @@ fn epoch_gated_scan_cuts_scan_traffic_on_idle_heavy_runs() {
 /// Runs a wide fan-out workload (8 children per non-leaf task, so every
 /// task-boundary sink flush carries a full batch) and returns the run's
 /// total [`smq_repro::core::OpStats`].
-fn run_wide_fanout<S: smq_repro::core::Scheduler<Task>>(
+fn run_wide_fanout<S: Scheduler<Task>>(
     scheduler: &S,
     threads: usize,
     batch: usize,
@@ -261,12 +294,12 @@ fn run_wide_fanout<S: smq_repro::core::Scheduler<Task>>(
     let expected: u64 = SEEDS * (1 + FANOUT + FANOUT * FANOUT + FANOUT * FANOUT * FANOUT);
     let metrics = run(
         scheduler,
-        &ExecutorConfig::new(threads).with_batch(batch),
+        PoolConfig::new(threads).with_batch(batch),
         (0..SEEDS).map(|i| Task::new(0, i)).collect(),
-        |task, sink, _scratch| {
+        |task, push| {
             if task.key < MAX_DEPTH {
                 for c in 0..FANOUT {
-                    sink.push(Task::new(task.key + 1, task.value * FANOUT + c));
+                    push(Task::new(task.key + 1, task.value * FANOUT + c));
                 }
             }
         },
@@ -345,16 +378,16 @@ fn snapshot_delete_locks_at_most_once_per_pop_in_the_common_case() {
     let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(4).with_seed(31));
     let expected = expected_task_count(500, 12);
     let executed = AtomicU64::new(0);
-    let metrics = smq_repro::runtime::run(
+    let metrics = run(
         &mq,
-        &smq_repro::runtime::ExecutorConfig::new(4),
+        PoolConfig::new(4),
         (0..500).map(|i| Task::new(0, i)).collect(),
-        |task, sink, _scratch| {
+        |task, push| {
             executed.fetch_add(1, Ordering::Relaxed);
             let (depth, id) = (task.key, task.value);
             if depth < 12 {
                 for c in 0..children_of(id, depth) {
-                    sink.push(Task::new(depth + 1, id.wrapping_mul(31).wrapping_add(c)));
+                    push(Task::new(depth + 1, id.wrapping_mul(31).wrapping_add(c)));
                 }
             }
         },

@@ -17,7 +17,7 @@
 //!   sequential runs, with `submitted == completed` and per-job (hence
 //!   per-gang) `pushes == pops`: no task ever leaks across gangs;
 //! * **Panics are contained** — a deliberately panicking job resolves its
-//!   own ticket to `Err(JobLost)` and leaves other clients' jobs (and the
+//!   own ticket to `Err(JobError::Lost)` and leaves other clients' jobs (and the
 //!   service) intact.
 
 use std::sync::Arc;
@@ -32,9 +32,7 @@ use smq_repro::core::Task;
 use smq_repro::graph::generators::{road_network, uniform_random, RoadNetworkParams};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_repro::obim::{Obim, ObimConfig};
-use smq_repro::pool::{
-    JobError, JobLost, JobService, PoolConfig, PoolJob, RespawnPolicy, ServiceConfig, WorkerPool,
-};
+use smq_repro::pool::{JobError, JobService, PoolConfig, PoolJob, ServiceConfig, WorkerPool};
 use smq_repro::runtime::Scratch;
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
@@ -396,7 +394,7 @@ impl PoolJob for PanickingJob {
 }
 
 /// The `JobTicket::wait` regression: a deliberately panicking job must
-/// resolve to `Err(JobLost)` for its own client — and a second client of
+/// resolve to `Err(JobError::Lost)` for its own client — and a second client of
 /// the long-lived service must also get a `Result` (never a panic), `Ok`
 /// while live gangs remain, `Err` once the pool has none left.
 #[test]
@@ -427,7 +425,7 @@ fn panicking_job_resolves_tickets_instead_of_panicking_clients() {
         .expect("submit panicking job");
     assert!(
         bad.wait().is_err(),
-        "the panicking job's own ticket must be Err(JobLost), not a client panic"
+        "the panicking job's own ticket must be Err(JobError::Lost), not a client panic"
     );
 
     // Second client on the surviving gang: plain Ok.
@@ -469,7 +467,7 @@ fn fully_poisoned_service_fails_jobs_gracefully() {
             pool.run_job(&PanickingJob).expect("fails by panicking");
         })
         .expect("submit panicking job");
-    assert_eq!(bad.wait().map(|c| c.output), Err(JobLost));
+    assert_eq!(bad.wait().map(|c| c.output), Err(JobError::Lost));
 
     // The only gang is gone: the second client's job cannot run, but its
     // ticket still resolves to Err instead of panicking the client thread.
@@ -491,9 +489,9 @@ fn fully_poisoned_service_fails_jobs_gracefully() {
 }
 
 /// The FIFO-allocator poisoned-gang edge (regression): a claim enqueued
-/// while every gang is unavailable — one busy, one freshly poisoned with
-/// no respawn — must re-route to the surviving gang when it frees, not
-/// starve behind the dead one.
+/// while every gang is unavailable — one busy, one freshly poisoned — must
+/// still be served (the claim respawns the dead gang first), not starve
+/// behind the dead one.
 #[test]
 fn waiting_claim_reroutes_around_a_poisoned_gang() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -519,7 +517,7 @@ fn waiting_claim_reroutes_around_a_poisoned_gang() {
 
     let pool = Arc::new(WorkerPool::new_partitioned(
         |g| HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(61 + g as u64)),
-        PoolConfig::partitioned(2, 1).with_respawn(RespawnPolicy::Never),
+        PoolConfig::partitioned(2, 1),
     ));
     let started = Arc::new(AtomicBool::new(false));
     let gate = Arc::new(AtomicBool::new(false));
@@ -537,10 +535,14 @@ fn waiting_claim_reroutes_around_a_poisoned_gang() {
 
         // Job 2 takes the only free gang and poisons it.
         assert!(pool.run_job_on(&PanickingJob, 1).is_err());
-        assert_eq!(pool.live_gangs(), 1, "no respawn: the gang stays dead");
+        assert_eq!(
+            pool.live_gangs(),
+            1,
+            "respawn waits for the next claim: the gang stays dead until then"
+        );
 
         // Job 3 arrives while one gang is busy and the other is dead: it
-        // must wait for the busy gang, then run there — not starve.
+        // must be served — not starve.
         struct OneTask;
         impl PoolJob for OneTask {
             fn seed_tasks(&self) -> Vec<Task> {
@@ -563,7 +565,12 @@ fn waiting_claim_reroutes_around_a_poisoned_gang() {
         let out = third.join().expect("third-job thread");
         assert!(
             out.is_ok(),
-            "the waiting claim must re-route to the surviving gang"
+            "the waiting claim must be served, not starve behind the dead gang"
         );
     });
+    assert_eq!(
+        pool.stats().gangs_respawned,
+        1,
+        "job 3's claim rebuilt the poisoned gang"
+    );
 }

@@ -14,21 +14,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
-
-/// Result of an A* run.
-#[derive(Debug, Clone)]
-pub struct AstarRun {
-    /// Shortest distance from source to target (`u64::MAX` if unreachable).
-    pub distance: u64,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
 
 /// The admissible heuristic: scaled Euclidean distance between `v` and the
 /// target.  The road generator assigns each edge a weight of at least
@@ -176,26 +166,6 @@ impl<G: GraphView> DecreaseKeyWorkload for AstarWorkload<'_, G> {
     }
 }
 
-/// Runs A* from `source` to `target` on `scheduler` with `threads` workers.
-pub fn parallel<G, S>(
-    graph: &G,
-    source: u32,
-    target: u32,
-    scheduler: &S,
-    threads: usize,
-) -> AstarRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = AstarWorkload::new(graph, source, target);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    AstarRun {
-        distance: run.output,
-        result: run.result,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,8 +217,8 @@ mod tests {
         let target = (g.num_nodes() - 1) as u32;
         let (expected, _) = sequential(&g, 0, target);
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = parallel(&g, 0, target, &smq, 2);
-        assert_eq!(run.distance, expected);
+        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, target), &smq, 2);
+        assert_eq!(run.output, expected);
         assert!(run.result.useful_tasks > 0);
     }
 
@@ -258,8 +228,8 @@ mod tests {
         let target = (g.num_nodes() / 2) as u32;
         let (expected, _) = sequential(&g, 0, target);
         let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2));
-        let run = parallel(&g, 0, target, &mq, 2);
-        assert_eq!(run.distance, expected);
+        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, target), &mq, 2);
+        assert_eq!(run.output, expected);
     }
 
     #[test]
@@ -269,7 +239,7 @@ mod tests {
         b.add_edge(0, 1, 5);
         let g = b.build();
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(1));
-        let run = parallel(&g, 0, 2, &smq, 1);
-        assert_eq!(run.distance, u64::MAX);
+        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, 2), &smq, 1);
+        assert_eq!(run.output, u64::MAX);
     }
 }

@@ -4,25 +4,14 @@
 //! treating every edge as having weight 1 and prioritizing tasks by hop
 //! count.  This keeps the comparison between schedulers apples-to-apples:
 //! the only difference from SSSP is the weight function, so BFS is
-//! literally [`SsspWorkload::bfs`] — the engine workload with a constant
-//! weight mapping.
+//! literally [`SsspWorkload::bfs`](crate::sssp::SsspWorkload::bfs) — the
+//! SSSP workload with a constant weight mapping.  A parallel BFS run is
+//! `engine::run_parallel(&SsspWorkload::bfs(graph, source), scheduler,
+//! threads)`; this module keeps only the sequential reference.
 
-use smq_core::{Scheduler, Task};
 use smq_graph::GraphView;
 
-use crate::engine;
-use crate::sssp::{self, SsspWorkload};
-use crate::workload::AlgoResult;
-
-/// Hop counts plus run accounting from a parallel BFS execution.
-#[derive(Debug, Clone)]
-pub struct BfsRun {
-    /// `levels[v]` is the hop distance from the source (`u64::MAX` if
-    /// unreachable).
-    pub levels: Vec<u64>,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
+use crate::sssp;
 
 /// Exact sequential BFS.  Returns the level array and the number of visited
 /// vertices (baseline task count).
@@ -30,23 +19,12 @@ pub fn sequential<G: GraphView>(graph: &G, source: u32) -> (Vec<u64>, u64) {
     sssp::sequential_weighted(graph, source, |_| 1)
 }
 
-/// Runs BFS from `source` on `scheduler` with `threads` worker threads.
-pub fn parallel<G, S>(graph: &G, source: u32, scheduler: &S, threads: usize) -> BfsRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = SsspWorkload::bfs(graph, source);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    BfsRun {
-        levels: run.output,
-        result: run.result,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
+    use crate::sssp::SsspWorkload;
+    use smq_core::Task;
     use smq_graph::generators::{power_law, PowerLawParams};
     use smq_graph::GraphBuilder;
     use smq_scheduler::{HeapSmq, SmqConfig};
@@ -72,8 +50,8 @@ mod tests {
         });
         let (expected, visited) = sequential(&g, 0);
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = parallel(&g, 0, &smq, 2);
-        assert_eq!(run.levels, expected);
+        let run = engine::run_parallel(&SsspWorkload::bfs(&g, 0), &smq, 2);
+        assert_eq!(run.output, expected);
         assert!(run.result.useful_tasks >= visited);
     }
 

@@ -22,22 +22,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
 use crate::kcore::reverse_adjacency;
-use crate::workload::AlgoResult;
-
-/// Labels plus run accounting from a parallel CC execution.
-#[derive(Debug, Clone)]
-pub struct CcRun {
-    /// `labels[v]` is the minimum vertex id in `v`'s weak component.
-    pub labels: Vec<u64>,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
 
 /// Exact sequential reference: Gauss–Seidel min-label propagation with a
 /// lowest-label-first worklist.  Returns the label array and the number of
@@ -154,20 +144,6 @@ impl<G: GraphView> DecreaseKeyWorkload for CcWorkload<'_, G> {
 
     fn outputs_equivalent(&self, a: &Vec<u64>, b: &Vec<u64>) -> bool {
         a == b
-    }
-}
-
-/// Runs connected components on `scheduler` with `threads` workers.
-pub fn parallel<G, S>(graph: &G, scheduler: &S, threads: usize) -> CcRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = CcWorkload::new(graph);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    CcRun {
-        labels: run.output,
-        result: run.result,
     }
 }
 

@@ -6,9 +6,10 @@
 //! popped task still matters (*useful*) or was made stale by concurrent
 //! progress (*wasted*), update some shared monotone state, and push
 //! follow-up tasks.  [`DecreaseKeyWorkload`] captures exactly that contract
-//! and [`run_parallel`] is the one parallel driver, so the useful/wasted
-//! accounting, the pool invocation, and the [`AlgoResult`] assembly
-//! exist once instead of once per algorithm.
+//! and [`run_parallel`] is the one parallel driver: every algorithm runs as
+//! `run_parallel(&XWorkload::new(..), &scheduler, threads)` and reads the
+//! answer from [`EngineRun::output`] and the useful/wasted accounting from
+//! [`EngineRun::result`].
 //!
 //! The shared state of these workloads is monotone (distances only
 //! decrease, residuals drain, h-values fall, components merge), which is
@@ -22,15 +23,16 @@
 //! [`WorkerPool`] (thousands of jobs amortize one thread fleet — see
 //! `crate::query` for the A* route-query service built on this), and
 //! [`run_parallel`] is the one-shot wrapper that builds a transient pool
-//! around a borrowed scheduler, runs the single job, and joins.
+//! around a borrowed scheduler, runs the single job, and joins.  A run that
+//! needs a non-default [`PoolConfig`] (a pop batch, telemetry) builds that
+//! transient pool itself:
+//! `WorkerPool::with_borrowed(scheduler, config, |pool| run_on_pool(workload, pool))`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use smq_core::{Scheduler, Task};
-use smq_pool::{PoolConfig, PoolJob, WorkerPool};
+use smq_pool::{JobOutput, PoolConfig, PoolJob, WorkerPool};
 use smq_runtime::Scratch;
-
-use crate::workload::AlgoResult;
 
 /// What processing one task accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +107,7 @@ pub struct EngineRun<O> {
     /// Work and wall-clock accounting.  `useful_tasks + wasted_tasks`
     /// always equals `metrics.tasks_executed`: the driver classifies every
     /// processed task as exactly one of the two.
-    pub result: AlgoResult,
+    pub result: JobOutput,
 }
 
 /// Adapts a [`DecreaseKeyWorkload`] to the pool's object-safe job trait.
@@ -160,14 +162,10 @@ where
     )
 }
 
-fn finish<W: DecreaseKeyWorkload>(workload: &W, out: smq_pool::JobOutput) -> EngineRun<W::Output> {
+fn finish<W: DecreaseKeyWorkload>(workload: &W, result: JobOutput) -> EngineRun<W::Output> {
     EngineRun {
         output: workload.output(),
-        result: AlgoResult {
-            metrics: out.metrics,
-            useful_tasks: out.useful_tasks,
-            wasted_tasks: out.wasted_tasks,
-        },
+        result,
     }
 }
 
@@ -183,60 +181,9 @@ where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    run_parallel_batched(workload, scheduler, threads, 1)
-}
-
-/// [`run_parallel`] at an explicit hot-path batch granularity.
-///
-/// `batch_size == 1` is exactly `run_parallel` (the per-task path, stats
-/// included).  Larger batches make the workers pop up to `batch_size` tasks
-/// per scheduling decision and flush follow-ups through the scheduler's
-/// `push_batch` at task boundaries, amortizing locks over the batch;
-/// relaxation semantics and the computed
-/// answer are unaffected — only the execution order within the relaxed
-/// guarantees shifts, like any other scheduling perturbation.
-pub fn run_parallel_batched<W, S>(
-    workload: &W,
-    scheduler: &S,
-    threads: usize,
-    batch_size: usize,
-) -> EngineRun<W::Output>
-where
-    W: DecreaseKeyWorkload,
-    S: Scheduler<Task>,
-{
-    WorkerPool::with_borrowed(
-        scheduler,
-        PoolConfig::new(threads).with_batch(batch_size),
-        |pool| run_on_pool(workload, pool),
-    )
-}
-
-/// [`run_parallel_batched`] with opt-in instrumentation: the run's
-/// metrics then carry a merged `TelemetryReport` (phase times, rank-error
-/// histogram, trace lanes when an event ring is configured).
-///
-/// With `TelemetryConfig::disabled()` this is exactly
-/// `run_parallel_batched` — the workers take no timestamps and make no
-/// extra scheduler calls.
-pub fn run_parallel_instrumented<W, S>(
-    workload: &W,
-    scheduler: &S,
-    threads: usize,
-    batch_size: usize,
-    telemetry: smq_telemetry::TelemetryConfig,
-) -> EngineRun<W::Output>
-where
-    W: DecreaseKeyWorkload,
-    S: Scheduler<Task>,
-{
-    WorkerPool::with_borrowed(
-        scheduler,
-        PoolConfig::new(threads)
-            .with_batch(batch_size)
-            .with_telemetry(telemetry),
-        |pool| run_on_pool(workload, pool),
-    )
+    WorkerPool::with_borrowed(scheduler, PoolConfig::new(threads), |pool| {
+        run_on_pool(workload, pool)
+    })
 }
 
 /// Runs the parallel workload and asserts it is equivalent to its

@@ -23,12 +23,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphUpdate, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::sssp::SsspRun;
 
 /// Exact sequential incremental repair: starting from `old_distances`
 /// (exact for the pre-update graph), settles the region affected by
@@ -242,30 +241,6 @@ impl<G: GraphView> DecreaseKeyWorkload for IncrementalSsspWorkload<'_, G> {
     }
 }
 
-/// Runs an incremental repair on `scheduler` with `threads` workers:
-/// pre-update distances come from a full Dijkstra on `old_graph`, the
-/// repair relaxes over `new_graph`.
-pub fn parallel<O, G, S>(
-    old_graph: &O,
-    new_graph: &G,
-    source: u32,
-    updates: &[GraphUpdate],
-    scheduler: &S,
-    threads: usize,
-) -> SsspRun
-where
-    O: GraphView,
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = IncrementalSsspWorkload::after_updates(old_graph, new_graph, source, updates);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    SsspRun {
-        distances: run.output,
-        result: run.result,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,9 +305,10 @@ mod tests {
         live.publish(&updates);
         let snapshot = live.pin();
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = parallel(&*base, &snapshot, 0, &updates, &smq, 2);
+        let workload = IncrementalSsspWorkload::after_updates(&*base, &snapshot, 0, &updates);
+        let run = engine::run_parallel(&workload, &smq, 2);
         let (full, _) = crate::sssp::sequential(&snapshot, 0);
-        assert_eq!(run.distances, full);
+        assert_eq!(run.output, full);
     }
 
     #[test]

@@ -24,21 +24,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
-
-/// Core numbers plus run accounting from a parallel k-core execution.
-#[derive(Debug, Clone)]
-pub struct KCoreRun {
-    /// `cores[v]` is the coreness of `v` (h-index fixed point).
-    pub cores: Vec<u64>,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
 
 /// Reverse adjacency in CSR form: `(offsets, sources)` such that the
 /// in-neighbours of `v` are `sources[offsets[v]..offsets[v + 1]]`.
@@ -231,20 +221,6 @@ impl<G: GraphView> DecreaseKeyWorkload for KCoreWorkload<'_, G> {
 
     fn outputs_equivalent(&self, a: &Vec<u64>, b: &Vec<u64>) -> bool {
         a == b
-    }
-}
-
-/// Runs k-core decomposition on `scheduler` with `threads` workers.
-pub fn parallel<G, S>(graph: &G, scheduler: &S, threads: usize) -> KCoreRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = KCoreWorkload::new(graph);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    KCoreRun {
-        cores: run.output,
-        result: run.result,
     }
 }
 

@@ -7,7 +7,10 @@
 //! shared-state output view, and a sequential reference) and
 //! [`engine::run_parallel`] / [`engine::run_on_pool`], which own the
 //! worker-pool invocation and the useful/wasted accounting for every
-//! algorithm.  The workloads:
+//! algorithm.  A module contributes a workload type and its sequential
+//! reference, never its own parallel entry point: a parallel SSSP is
+//! `run_parallel(&SsspWorkload::new(&graph, 0), &scheduler, threads)`.
+//! The workloads:
 //!
 //! * [`sssp`] — single-source shortest paths with priority = tentative
 //!   distance (the delta-stepping-style formulation Galois uses),
@@ -36,10 +39,11 @@
 //! each executed as a job on a resident `smq_pool::WorkerPool` with
 //! epoch-stamped g-score slots (per-query cost O(touched), not O(n)).
 //!
-//! Every parallel run reports both wall-clock metrics (via `smq-runtime`)
-//! and the algorithm-level *work* counters the paper uses to quantify
-//! wasted work: how many tasks were executed versus how many a perfectly
-//! ordered execution would need.
+//! Every parallel run returns an [`EngineRun`]: the workload's `output`
+//! plus a `result` of the pool's one result type, `smq_pool::JobOutput`,
+//! which carries the wall-clock metrics and the algorithm-level *work*
+//! counters the paper uses to quantify wasted work: how many tasks were
+//! executed versus how many a perfectly ordered execution would need.
 
 #![warn(missing_docs)]
 
@@ -60,4 +64,3 @@ pub use engine::{
 };
 pub use incremental::IncrementalSsspWorkload;
 pub use query::{RouteAnswer, RouteQueryEngine};
-pub use workload::AlgoResult;

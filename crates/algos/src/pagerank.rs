@@ -28,12 +28,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
-use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
+use crate::engine::{DecreaseKeyWorkload, SequentialReference, TaskOutcome};
 
 /// Tuning knobs of a PageRank-delta run.
 #[derive(Debug, Clone, Copy)]
@@ -81,16 +80,6 @@ impl PagerankConfig {
             "epsilon must be in (0, 1 - damping)"
         );
     }
-}
-
-/// Ranks plus run accounting from a parallel PageRank-delta execution.
-#[derive(Debug, Clone)]
-pub struct PagerankRun {
-    /// Unnormalized PageRank scores (summing to ≈ `n` on graphs without
-    /// dangling vertices).
-    pub ranks: Vec<f64>,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
 }
 
 /// Priority key for a residual: larger residual ⇒ smaller key.
@@ -276,28 +265,10 @@ impl<G: GraphView> DecreaseKeyWorkload for PagerankWorkload<'_, G> {
     }
 }
 
-/// Runs PageRank-delta on `scheduler` with `threads` workers.
-pub fn parallel<G, S>(
-    graph: &G,
-    config: PagerankConfig,
-    scheduler: &S,
-    threads: usize,
-) -> PagerankRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = PagerankWorkload::new(graph, config);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    PagerankRun {
-        ranks: run.output,
-        result: run.result,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
     use smq_graph::generators::{power_law, PowerLawParams};
     use smq_graph::GraphBuilder;
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};

@@ -65,12 +65,11 @@ use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
 
 use smq_core::Task;
 use smq_graph::{CsrGraph, GraphSource, GraphView};
-use smq_pool::WorkerPool;
+use smq_pool::{JobOutput, WorkerPool};
 use smq_runtime::Scratch;
 
 use crate::astar::heuristic;
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
 
 /// Low bits of a slot hold the tentative distance.
 const DIST_BITS: u32 = 40;
@@ -102,7 +101,7 @@ pub struct RouteAnswer {
     /// Graph version the query was served from (0 for static graphs).
     pub version: u64,
     /// Work and wall-clock accounting of the query's job.
-    pub result: AlgoResult,
+    pub result: JobOutput,
 }
 
 /// One exclusive slot-array workspace.  A lane belongs to exactly one

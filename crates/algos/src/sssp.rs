@@ -13,22 +13,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
-
-/// Distances plus run accounting from a parallel SSSP execution.
-#[derive(Debug, Clone)]
-pub struct SsspRun {
-    /// `distances[v]` is the shortest distance from the source, or
-    /// `u64::MAX` if `v` is unreachable.
-    pub distances: Vec<u64>,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
 
 /// Exact sequential Dijkstra.  Returns the distance array and the number of
 /// settled vertices (the baseline task count for work-increase reporting).
@@ -37,7 +26,7 @@ pub fn sequential<G: GraphView>(graph: &G, source: u32) -> (Vec<u64>, u64) {
 }
 
 /// Sequential Dijkstra with a caller-supplied weight mapping (used by the
-/// BFS wrapper with a constant mapping).
+/// BFS reference with a constant mapping).
 pub fn sequential_weighted<G: GraphView>(
     graph: &G,
     source: u32,
@@ -172,43 +161,10 @@ where
     }
 }
 
-/// Runs SSSP from `source` on `scheduler` with `threads` worker threads.
-pub fn parallel<G, S>(graph: &G, source: u32, scheduler: &S, threads: usize) -> SsspRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = SsspWorkload::new(graph, source);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    SsspRun {
-        distances: run.output,
-        result: run.result,
-    }
-}
-
-/// Parallel SSSP with a caller-supplied weight mapping.
-pub fn parallel_weighted<G, S>(
-    graph: &G,
-    source: u32,
-    scheduler: &S,
-    threads: usize,
-    edge_weight: impl Fn(u32) -> u64 + Sync,
-) -> SsspRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = SsspWorkload::with_weight(graph, source, "SSSP", edge_weight);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    SsspRun {
-        distances: run.output,
-        result: run.result,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smq_core::Scheduler;
     use smq_graph::generators::{power_law, road_network, PowerLawParams, RoadNetworkParams};
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
     use smq_obim::{Obim, ObimConfig};
@@ -254,8 +210,8 @@ mod tests {
     fn check_parallel_matches_sequential<S: Scheduler<Task>>(scheduler: &S, threads: usize) {
         let g = small_road();
         let (expected, _) = sequential(&g, 0);
-        let run = parallel(&g, 0, scheduler, threads);
-        assert_eq!(run.distances, expected);
+        let run = engine::run_parallel(&SsspWorkload::new(&g, 0), scheduler, threads);
+        assert_eq!(run.output, expected);
         assert!(run.result.useful_tasks > 0);
     }
 
@@ -317,9 +273,9 @@ mod tests {
             seed: 5,
         });
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(1));
-        let run = parallel(&g, 0, &smq, 1);
+        let run = engine::run_parallel(&SsspWorkload::new(&g, 0), &smq, 1);
         let (expected, settled) = sequential(&g, 0);
-        assert_eq!(run.distances, expected);
+        assert_eq!(run.output, expected);
         // Exactly one useful (settling) task per reachable vertex; the only
         // overhead is lazy-deletion duplicates, which exist even in exact
         // Dijkstra, so we only bound them loosely.

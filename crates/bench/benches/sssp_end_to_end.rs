@@ -6,7 +6,8 @@
 //! graphs (SMQ ≥ OBIM/PMOD ≥ classic MQ).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smq_algos::sssp;
+use smq_algos::engine;
+use smq_algos::sssp::{self, SsspWorkload};
 use smq_core::{Probability, Task};
 use smq_graph::generators::{road_network, RoadNetworkParams};
 use smq_multiqueue::{MultiQueue, MultiQueueConfig};
@@ -30,25 +31,25 @@ fn bench_sssp(c: &mut Criterion) {
             let smq: HeapSmq<Task> = HeapSmq::new(
                 SmqConfig::default_for_threads(threads).with_p_steal(Probability::new(4)),
             );
-            sssp::parallel(&graph, 0, &smq, threads)
+            engine::run_parallel(&SsspWorkload::new(&graph, 0), &smq, threads)
         })
     });
     group.bench_function(BenchmarkId::new("classic_mq", "C=4"), |b| {
         b.iter(|| {
             let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(threads));
-            sssp::parallel(&graph, 0, &mq, threads)
+            engine::run_parallel(&SsspWorkload::new(&graph, 0), &mq, threads)
         })
     });
     group.bench_function(BenchmarkId::new("obim", "delta=10"), |b| {
         b.iter(|| {
             let obim: Obim<Task> = Obim::new(ObimConfig::obim(threads, 10, 32));
-            sssp::parallel(&graph, 0, &obim, threads)
+            engine::run_parallel(&SsspWorkload::new(&graph, 0), &obim, threads)
         })
     });
     group.bench_function(BenchmarkId::new("pmod", "delta=10"), |b| {
         b.iter(|| {
             let pmod: Obim<Task> = Obim::new(ObimConfig::pmod(threads, 10, 32));
-            sssp::parallel(&graph, 0, &pmod, threads)
+            engine::run_parallel(&SsspWorkload::new(&graph, 0), &pmod, threads)
         })
     });
     group.bench_function("sequential_dijkstra", |b| {

@@ -16,6 +16,7 @@ use smq_core::{Probability, Scheduler, Task};
 use smq_graph::{GraphUpdate, LiveGraph};
 use smq_multiqueue::{DeletePolicy, InsertPolicy, MultiQueue, MultiQueueConfig, Reld};
 use smq_obim::{Obim, ObimConfig};
+use smq_pool::{PoolConfig, WorkerPool};
 use smq_runtime::Topology;
 use smq_scheduler::{HeapSmq, SkipListSmq, SmqConfig};
 use smq_spraylist::{SprayList, SprayListConfig};
@@ -283,13 +284,12 @@ where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    let run = engine::run_parallel_instrumented(
-        workload,
-        scheduler,
-        threads,
-        batch,
-        TelemetryConfig::probe_only(RANK_PROBE_INTERVAL),
-    );
+    let config = PoolConfig::new(threads)
+        .with_batch(batch)
+        .with_telemetry(TelemetryConfig::probe_only(RANK_PROBE_INTERVAL));
+    let run = WorkerPool::with_borrowed(scheduler, config, |pool| {
+        engine::run_on_pool(workload, pool)
+    });
     let rank_errors = run
         .result
         .metrics

@@ -174,12 +174,6 @@ impl OpStats {
         }
     }
 
-    /// Alias for [`locality_rate`](Self::locality_rate), kept under the
-    /// name the bench tables historically printed as `In-node`.
-    pub fn node_locality(&self) -> Option<f64> {
-        self.locality_rate()
-    }
-
     /// Fraction of steal attempts that succeeded, or `None` if no steals were
     /// attempted.
     pub fn steal_success_rate(&self) -> Option<f64> {
@@ -342,7 +336,6 @@ mod tests {
         assert_eq!(s.sample_locality_rate(), None);
         assert_eq!(s.steal_locality_rate(), None);
         assert_eq!(s.locality_rate(), None);
-        assert_eq!(s.node_locality(), None);
         assert_eq!(s.steal_success_rate(), None);
         s.local_samples = 3;
         s.remote_samples = 1;
@@ -357,7 +350,6 @@ mod tests {
         s.remote_steals = 1;
         assert_eq!(s.steal_locality_rate(), Some(0.75));
         assert_eq!(s.locality_rate(), Some(0.75));
-        assert_eq!(s.node_locality(), s.locality_rate());
     }
 
     #[test]

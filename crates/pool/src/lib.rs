@@ -7,9 +7,11 @@
 //! thread-spawn latency and cold scheduler state are paid once, not per
 //! job.  Each job seeds a scheduler, runs the worker loop
 //! (`smq_runtime::executor::worker_loop`) to quiescence under a fresh
-//! termination-detection *generation*, and hands back per-job
-//! [`RunMetrics`].  A one-shot run is a single job on a transient pool
-//! ([`WorkerPool::with_borrowed`]).
+//! termination-detection *generation*, and hands back a [`JobOutput`]:
+//! per-job [`RunMetrics`] plus the useful/wasted task counts.  `JobOutput`
+//! is also the result of every engine run in `smq_algos`, so one-shot runs
+//! and service jobs share one result type.  A one-shot run is a single job
+//! on a transient pool ([`WorkerPool::with_borrowed`]).
 //!
 //! # Gangs: job-level parallelism
 //!
@@ -287,7 +289,11 @@ pub trait PoolJob: Sync {
     fn process(&self, task: Task, push: &mut dyn FnMut(Task), scratch: &mut Scratch) -> bool;
 }
 
-/// Accounting from one pool job.
+/// Accounting from one pool job, and the one run-result type of the
+/// workspace: `smq_algos::engine::EngineRun::result` is this struct, so a
+/// job on a resident pool and a one-shot engine run report the same fields
+/// and the paper's work metrics ([`work_increase`](Self::work_increase),
+/// [`wasted_fraction`](Self::wasted_fraction)) are computed in one place.
 #[derive(Debug, Clone)]
 pub struct JobOutput {
     /// Wall-clock and scheduler-operation metrics, carved per-job out of
@@ -299,6 +305,33 @@ pub struct JobOutput {
     pub useful_tasks: u64,
     /// Stale tasks (wasted work caused by priority relaxation).
     pub wasted_tasks: u64,
+}
+
+impl JobOutput {
+    /// Total tasks executed.
+    pub fn total_tasks(&self) -> u64 {
+        self.useful_tasks + self.wasted_tasks
+    }
+
+    /// Work increase relative to a baseline task count (usually the
+    /// sequential algorithm's task count): `1.0` means no wasted work.
+    pub fn work_increase(&self, baseline_tasks: u64) -> f64 {
+        if baseline_tasks == 0 {
+            1.0
+        } else {
+            self.total_tasks() as f64 / baseline_tasks as f64
+        }
+    }
+
+    /// Fraction of executed tasks that were wasted.
+    pub fn wasted_fraction(&self) -> f64 {
+        let total = self.total_tasks();
+        if total == 0 {
+            0.0
+        } else {
+            self.wasted_tasks as f64 / total as f64
+        }
+    }
 }
 
 /// Point-in-time pool counters.
@@ -1494,6 +1527,37 @@ mod tests {
             }
             true
         }
+    }
+
+    fn output(useful: u64, wasted: u64) -> JobOutput {
+        JobOutput {
+            metrics: RunMetrics {
+                elapsed: std::time::Duration::from_millis(10),
+                threads: 1,
+                tasks_executed: useful + wasted,
+                quiescence_scans: 0,
+                per_thread: vec![OpStats::default()],
+                total: OpStats::default(),
+                telemetry: None,
+            },
+            useful_tasks: useful,
+            wasted_tasks: wasted,
+        }
+    }
+
+    #[test]
+    fn work_increase_and_wasted_fraction() {
+        let r = output(100, 25);
+        assert_eq!(r.total_tasks(), 125);
+        assert!((r.work_increase(100) - 1.25).abs() < 1e-12);
+        assert!((r.wasted_fraction() - 0.2).abs() < 1e-12);
+        assert_eq!(r.work_increase(0), 1.0);
+    }
+
+    #[test]
+    fn zero_tasks_edge_case() {
+        let r = output(0, 0);
+        assert_eq!(r.wasted_fraction(), 0.0);
     }
 
     fn smq(threads: usize) -> HeapSmq<Task> {

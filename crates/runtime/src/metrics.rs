@@ -30,78 +30,10 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Tasks executed per second of wall-clock time.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.tasks_executed as f64 / secs
-        }
-    }
-
-    /// Speedup of this run relative to a baseline wall-clock time.
-    pub fn speedup_over(&self, baseline: Duration) -> f64 {
-        let own = self.elapsed.as_secs_f64();
-        if own == 0.0 {
-            f64::INFINITY
-        } else {
-            baseline.as_secs_f64() / own
-        }
-    }
-
-    /// Work increase relative to a baseline task count (the paper's "work
-    /// increase" column: executed tasks divided by the minimum necessary).
-    pub fn work_increase_over(&self, baseline_tasks: u64) -> f64 {
-        if baseline_tasks == 0 {
-            1.0
-        } else {
-            self.tasks_executed as f64 / baseline_tasks as f64
-        }
-    }
-
     /// The combined NUMA locality ratio observed during the run (the
     /// paper's `E_int`: in-node samples and steals over all classified
     /// events), if any were classified.
     pub fn node_locality(&self) -> Option<f64> {
         self.total.locality_rate()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn metrics(ms: u64, tasks: u64) -> RunMetrics {
-        RunMetrics {
-            elapsed: Duration::from_millis(ms),
-            threads: 4,
-            tasks_executed: tasks,
-            quiescence_scans: 0,
-            per_thread: vec![OpStats::default(); 4],
-            total: OpStats::default(),
-            telemetry: None,
-        }
-    }
-
-    #[test]
-    fn throughput_is_tasks_per_second() {
-        let m = metrics(500, 1_000);
-        assert!((m.throughput() - 2_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn speedup_and_work_increase() {
-        let m = metrics(250, 1_200);
-        assert!((m.speedup_over(Duration::from_millis(1000)) - 4.0).abs() < 1e-9);
-        assert!((m.work_increase_over(1_000) - 1.2).abs() < 1e-9);
-        assert_eq!(m.work_increase_over(0), 1.0);
-    }
-
-    #[test]
-    fn zero_elapsed_is_handled() {
-        let m = metrics(0, 10);
-        assert_eq!(m.throughput(), 0.0);
-        assert!(m.speedup_over(Duration::from_millis(5)).is_infinite());
     }
 }

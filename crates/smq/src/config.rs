@@ -13,12 +13,6 @@ pub struct SmqNumaConfig {
     pub topology: Topology,
     /// Out-of-node weight divisor `K >= 1`.
     pub k: u32,
-    /// Probability of probing one uniformly random *remote* victim after
-    /// the weighted (node-local-preferring) victim loses the snapshot
-    /// comparison.  Keeps remote batches from being stranded when the
-    /// caller's node runs dry while staying off the common path — the
-    /// default is `1/4`.
-    pub remote_fallback: Probability,
 }
 
 /// Parameters of the Stealing Multi-Queue.
@@ -71,14 +65,9 @@ impl SmqConfig {
         self
     }
 
-    /// Enables NUMA-aware victim sampling with the default remote-fallback
-    /// probability (`1/4`).
+    /// Enables NUMA-aware victim sampling.
     pub fn with_numa(mut self, topology: Topology, k: u32) -> Self {
-        self.numa = Some(SmqNumaConfig {
-            topology,
-            k,
-            remote_fallback: Probability::new(4),
-        });
+        self.numa = Some(SmqNumaConfig { topology, k });
         self
     }
 
@@ -89,20 +78,6 @@ impl SmqConfig {
     pub fn with_numa_scaled(self, topology: Topology) -> Self {
         let k = topology.num_threads().max(2) as u32;
         self.with_numa(topology, k)
-    }
-
-    /// Sets the remote-fallback probe probability of the NUMA victim
-    /// selection (see [`SmqNumaConfig::remote_fallback`]).
-    ///
-    /// # Panics
-    /// Panics if NUMA sampling has not been enabled via
-    /// [`with_numa`](Self::with_numa) first.
-    pub fn with_remote_fallback(mut self, remote_fallback: Probability) -> Self {
-        self.numa
-            .as_mut()
-            .expect("enable NUMA sampling before tuning the remote fallback")
-            .remote_fallback = remote_fallback;
-        self
     }
 
     /// Sets the PRNG seed.
@@ -153,24 +128,14 @@ mod tests {
         assert_eq!(cfg.steal_size, 64);
         let numa = cfg.numa.unwrap();
         assert_eq!(numa.k, 32);
-        assert_eq!(numa.remote_fallback, Probability::new(4));
     }
 
     #[test]
     fn scaled_numa_tracks_thread_count() {
-        let cfg = SmqConfig::default_for_threads(8)
-            .with_numa_scaled(Topology::split(8, 2))
-            .with_remote_fallback(Probability::new(16));
+        let cfg = SmqConfig::default_for_threads(8).with_numa_scaled(Topology::split(8, 2));
         cfg.validate();
         let numa = cfg.numa.unwrap();
         assert_eq!(numa.k, 8);
-        assert_eq!(numa.remote_fallback, Probability::new(16));
-    }
-
-    #[test]
-    #[should_panic(expected = "enable NUMA sampling")]
-    fn remote_fallback_requires_numa() {
-        let _ = SmqConfig::default_for_threads(4).with_remote_fallback(Probability::new(2));
     }
 
     #[test]

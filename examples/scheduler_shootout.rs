@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example scheduler_shootout`
 
-use smq_repro::algos::{bfs, sssp};
+use smq_repro::algos::sssp::{self, SsspWorkload};
+use smq_repro::algos::{bfs, engine};
 use smq_repro::core::{Probability, Task};
 use smq_repro::graph::generators::{power_law, PowerLawParams};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig, Reld};
@@ -37,12 +38,12 @@ fn main() {
     macro_rules! shoot {
         ($name:expr, $make:expr) => {{
             let sched = $make;
-            let s = sssp::parallel(&graph, 0, &sched, threads);
-            assert_eq!(s.distances, sssp_ref, "{} computed wrong SSSP", $name);
+            let s = engine::run_parallel(&SsspWorkload::new(&graph, 0), &sched, threads);
+            assert_eq!(s.output, sssp_ref, "{} computed wrong SSSP", $name);
             drop(sched);
             let sched = $make;
-            let b = bfs::parallel(&graph, 0, &sched, threads);
-            assert_eq!(b.levels, bfs_ref, "{} computed wrong BFS", $name);
+            let b = engine::run_parallel(&SsspWorkload::bfs(&graph, 0), &sched, threads);
+            assert_eq!(b.output, bfs_ref, "{} computed wrong BFS", $name);
             println!(
                 "{:<18} {:>12.2?} {:>12.2?} {:>16.2}",
                 $name,

@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release --example sssp_roadmap`
 
-use smq_repro::algos::sssp;
+use smq_repro::algos::engine;
+use smq_repro::algos::sssp::{self, SsspWorkload};
 use smq_repro::core::Task;
 use smq_repro::graph::generators::{road_network, RoadNetworkParams};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
@@ -30,18 +31,18 @@ fn main() {
 
     // Stealing Multi-Queue (the paper's contribution).
     let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(threads));
-    let smq_run = sssp::parallel(&graph, 0, &smq, threads);
-    assert_eq!(smq_run.distances, reference, "SMQ produced wrong distances");
+    let smq_run = engine::run_parallel(&SsspWorkload::new(&graph, 0), &smq, threads);
+    assert_eq!(smq_run.output, reference, "SMQ produced wrong distances");
 
     // Classic Multi-Queue baseline.
     let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(threads));
-    let mq_run = sssp::parallel(&graph, 0, &mq, threads);
-    assert_eq!(mq_run.distances, reference);
+    let mq_run = engine::run_parallel(&SsspWorkload::new(&graph, 0), &mq, threads);
+    assert_eq!(mq_run.output, reference);
 
     // OBIM heuristic baseline.
     let obim: Obim<Task> = Obim::new(ObimConfig::obim(threads, 10, 32));
-    let obim_run = sssp::parallel(&graph, 0, &obim, threads);
-    assert_eq!(obim_run.distances, reference);
+    let obim_run = engine::run_parallel(&SsspWorkload::new(&graph, 0), &obim, threads);
+    assert_eq!(obim_run.output, reference);
 
     println!("\nscheduler           time        tasks   work increase");
     for (name, run) in [

@@ -33,6 +33,7 @@ use smq_repro::graph::generators::uniform_random;
 use smq_repro::graph::{CsrGraph, GraphUpdate, LiveGraph};
 use smq_repro::multiqueue::{DeletePolicy, InsertPolicy, MultiQueue, MultiQueueConfig, Reld};
 use smq_repro::obim::{Obim, ObimConfig};
+use smq_repro::pool::{PoolConfig, WorkerPool};
 use smq_repro::smq::{HeapSmq, SkipListSmq, SmqConfig};
 use smq_repro::spraylist::{SprayList, SprayListConfig};
 use std::sync::Arc;
@@ -62,7 +63,11 @@ where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    let run = engine::run_parallel_batched(workload, scheduler, threads, batch);
+    let run = WorkerPool::with_borrowed(
+        scheduler,
+        PoolConfig::new(threads).with_batch(batch),
+        |pool| engine::run_on_pool(workload, pool),
+    );
     let reference = workload.sequential_reference();
     assert!(
         workload.outputs_equivalent(&run.output, &reference.output),
@@ -272,16 +277,16 @@ proptest! {
         let snapshot = live.pin();
         let make = || HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(seed ^ 5));
 
-        let direct = engine::run_parallel_batched(&SsspWorkload::new(&graph, 0), &make(), 1, 1);
-        let via = engine::run_parallel_batched(&SsspWorkload::new(&snapshot, 0), &make(), 1, 1);
+        let direct = engine::run_parallel(&SsspWorkload::new(&graph, 0), &make(), 1);
+        let via = engine::run_parallel(&SsspWorkload::new(&snapshot, 0), &make(), 1);
         prop_assert_eq!(&direct.output, &via.output);
         prop_assert_eq!(direct.result.useful_tasks, via.result.useful_tasks);
         prop_assert_eq!(direct.result.wasted_tasks, via.result.wasted_tasks);
         prop_assert_eq!(direct.result.metrics.total, via.result.metrics.total);
 
         let target = (graph.num_nodes() - 1) as u32;
-        let direct = engine::run_parallel_batched(&AstarWorkload::new(&graph, 0, target), &make(), 1, 1);
-        let via = engine::run_parallel_batched(&AstarWorkload::new(&snapshot, 0, target), &make(), 1, 1);
+        let direct = engine::run_parallel(&AstarWorkload::new(&graph, 0, target), &make(), 1);
+        let via = engine::run_parallel(&AstarWorkload::new(&snapshot, 0, target), &make(), 1);
         prop_assert_eq!(&direct.output, &via.output);
         prop_assert_eq!(direct.result.useful_tasks, via.result.useful_tasks);
         prop_assert_eq!(direct.result.wasted_tasks, via.result.wasted_tasks);
@@ -299,11 +304,8 @@ where
     let sssp = SsspWorkload::new(graph, 0);
     let kcore = KCoreWorkload::new(graph);
     vec![
-        engine::run_parallel_batched(&sssp, &make(), 1, 1)
-            .result
-            .metrics
-            .total,
-        engine::run_parallel_batched(&kcore, &make(), 1, 1)
+        engine::run_parallel(&sssp, &make(), 1).result.metrics.total,
+        engine::run_parallel(&kcore, &make(), 1)
             .result
             .metrics
             .total,

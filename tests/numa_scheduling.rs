@@ -46,7 +46,7 @@ fn road(width: u32, seed: u64) -> CsrGraph {
 /// topology-blind path and the single-node NUMA path.
 fn replay<S: Scheduler<Task>>(scheduler: &S, graph: &CsrGraph) -> (OpStats, u64, u64) {
     let workload = SsspWorkload::new(graph, 0);
-    let run = engine::run_parallel_batched(&workload, scheduler, 1, 1);
+    let run = engine::run_parallel(&workload, scheduler, 1);
     (
         run.result.metrics.total.clone(),
         run.result.useful_tasks,
@@ -175,7 +175,7 @@ fn two_node_locality_meets_target() {
             .with_seed(11)
             .with_numa(topology.clone(), k),
     );
-    let run = engine::run_parallel_batched(&SsspWorkload::new(&graph, 0), &mq, 4, 1);
+    let run = engine::run_parallel(&SsspWorkload::new(&graph, 0), &mq, 4);
     let stats = &run.result.metrics.total;
     let rate = stats
         .sample_locality_rate()
@@ -200,7 +200,7 @@ fn two_node_locality_meets_target() {
             .with_seed(13)
             .with_numa(topology, k),
     );
-    let run = engine::run_parallel_batched(&SsspWorkload::new(&graph, 0), &smq, 4, 1);
+    let run = engine::run_parallel(&SsspWorkload::new(&graph, 0), &smq, 4);
     let stats = &run.result.metrics.total;
     let sampled = stats
         .sample_locality_rate()

@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use smq_repro::algos::astar::AstarWorkload;
 use smq_repro::algos::cc::CcWorkload;
 use smq_repro::algos::kcore::KCoreWorkload;
 use smq_repro::algos::sssp::SsspWorkload;
@@ -241,8 +242,8 @@ fn pooled_queries_match_one_shot_parallel_astar() {
         let target = (i * 53 + 5) % n;
         let pooled = engine.query(source, target, &pool);
         let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(9));
-        let one_shot = astar::parallel(&graph, source, target, &mq, 2);
-        assert_eq!(pooled.distance, one_shot.distance);
+        let one_shot = engine::run_parallel(&AstarWorkload::new(&*graph, source, target), &mq, 2);
+        assert_eq!(pooled.distance, one_shot.output);
     }
 }
 

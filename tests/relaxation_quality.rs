@@ -3,7 +3,8 @@
 //! and the rank-model simulator agrees qualitatively with the schedulers'
 //! measured wasted work.
 
-use smq_repro::algos::sssp;
+use smq_repro::algos::engine;
+use smq_repro::algos::sssp::{self, SsspWorkload};
 use smq_repro::core::{Probability, Task};
 use smq_repro::graph::generators::{road_network, RoadNetworkParams};
 use smq_repro::rank::{simulate, RankSimConfig};
@@ -30,15 +31,16 @@ fn more_stealing_means_less_wasted_work_on_road_sssp() {
                 .with_steal_size(1)
                 .with_seed(seed),
         );
-        sssp::parallel(&graph, 0, &smq, threads)
+        engine::run_parallel(&SsspWorkload::new(&graph, 0), &smq, threads)
             .result
             .work_increase(settled)
     };
 
-    // Average over several seeds to damp scheduling noise, and only assert
-    // the direction with generous slack — per-run wasted work depends on
-    // thread interleaving.
-    let seeds = [1u64, 2, 3, 4, 5, 6, 7, 8];
+    // Average over 24 seeds to damp scheduling noise, and only assert the
+    // direction with generous slack — per-run wasted work depends on
+    // thread interleaving, and an 8-seed mean could still dip below the
+    // bound when the test shares few cores with other processes.
+    let seeds: Vec<u64> = (1..=24).collect();
     let frequent: f64 = seeds.iter().map(|&s| run_with(2, s)).sum::<f64>() / seeds.len() as f64;
     let rare: f64 = seeds.iter().map(|&s| run_with(256, s)).sum::<f64>() / seeds.len() as f64;
     assert!(
@@ -72,11 +74,11 @@ fn rank_model_and_scheduler_agree_on_batching_direction() {
     let threads = 4;
     let (_, settled) = sssp::sequential(&graph, 0);
     // Wasted work on a real multi-threaded run is interleaving-dependent,
-    // so average over several seeds and allow generous slack: the assertion
+    // so average over 24 seeds and allow generous slack: the assertion
     // only guards the *direction* (huge batches must not systematically
     // reduce waste), not a precise ratio.
     let work_with = |steal_size: usize| {
-        let seeds = [11u64, 12, 13, 14, 15, 16, 17, 18];
+        let seeds: Vec<u64> = (11..=34).collect();
         seeds
             .iter()
             .map(|&s| {
@@ -86,7 +88,7 @@ fn rank_model_and_scheduler_agree_on_batching_direction() {
                         .with_p_steal(Probability::new(2))
                         .with_seed(s),
                 );
-                sssp::parallel(&graph, 0, &smq, threads)
+                engine::run_parallel(&SsspWorkload::new(&graph, 0), &smq, threads)
                     .result
                     .work_increase(settled)
             })
@@ -113,7 +115,7 @@ fn smq_wasted_work_is_modest_at_default_parameters() {
     });
     let (_, settled) = sssp::sequential(&graph, 0);
     let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(4).with_seed(2));
-    let run = sssp::parallel(&graph, 0, &smq, 4);
+    let run = engine::run_parallel(&SsspWorkload::new(&graph, 0), &smq, 4);
     let increase = run.result.work_increase(settled);
     assert!(
         increase < 2.0,
